@@ -19,9 +19,10 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "MTC_API_KEY"
 
@@ -107,7 +108,13 @@ class HttpCompletionClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
-        self._session = session or requests.Session()
+        if session is None:
+            # Imported here, not at module level: most runs use the replay
+            # client, and importing requests takes longer than the package.
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def _body(self, request: CompletionRequest) -> dict:
         body: dict = {
@@ -137,6 +144,8 @@ class HttpCompletionClient:
         raise ServiceError("completion text not found in response body")
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -12,6 +12,8 @@ evaluation (see the leakage guard in extraction).
 from __future__ import annotations
 
 import random
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -64,12 +66,49 @@ class FewShotPair:
         return record
 
 
-@dataclass(frozen=True)
+class _ValueToken:
+    """Shared by every :class:`FewShotSet` of one value; alive while any of them is."""
+
+    __slots__ = ("__weakref__",)
+
+
+_VALUE_TOKENS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_VALUE_TOKENS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
 class FewShotSet:
-    """The fixed example set shown in every prompt."""
+    """The fixed example set shown in every prompt.
+
+    Sets compare and hash by value. Both are settled once, at construction:
+    the set keys the prompt-prefix cache on every build, and walking its
+    pairs there would cost more than the cache saves. Equal sets share one
+    value token, so comparing them is an identity check.
+    """
 
     pairs: tuple[FewShotPair, ...]
     gaps: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        value = (self.pairs, self.gaps)
+        with _VALUE_TOKENS_LOCK:
+            token = _VALUE_TOKENS.get(value)
+            if token is None:
+                token = _VALUE_TOKENS[value] = _ValueToken()
+        object.__setattr__(self, "_token", token)
+        object.__setattr__(self, "_hash", hash(value))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FewShotSet):
+            return NotImplemented
+        return self._token is other._token
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: tokens and string hashes are per process.
+        return FewShotSet, (self.pairs, self.gaps)
 
     @property
     def ids(self) -> frozenset[str]:

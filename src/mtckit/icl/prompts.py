@@ -10,13 +10,23 @@ using ``NONE`` as the empty answer token.
 Prompt texts are external template files (``[header]`` / ``[example]`` /
 ``[query]`` sections) so wording can be tuned without code changes; the
 files shipped as package data are reconstructions, not published prompts.
-Rendering is by literal slot replacement, never ``str.format``, so braces
-in guideline text cannot corrupt a prompt; identical inputs produce
-byte-identical prompts.
+Rendering is by literal slot replacement, never ``str.format``, and every
+block fills all of its slots in one pass, so braces in guideline text
+(even a literal ``{answer}``) pass through verbatim and cannot corrupt a
+prompt; identical inputs produce byte-identical prompts.
+
+Everything before the query (the header with its grammar, activity and
+type-guide slots filled, plus every few-shot example block) depends only
+on the template, the few-shot set and the constraint type, so it is
+rendered once per such triple and memoized in a bounded LRU cache; each
+:func:`build_prompt` call then validates its arguments, fills the query
+and appends it to the cached prefix.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -112,18 +122,18 @@ def load_template(path: str | Path, strategy_kind: str) -> PromptTemplate:
     return PromptTemplate(strategy_kind, header, example, query)
 
 
-_TEMPLATE_CACHE: dict[str, PromptTemplate] = {}
-
-
 def default_template(strategy_kind: str) -> PromptTemplate:
     """Template shipped as package data for a strategy kind."""
     if strategy_kind not in _STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {strategy_kind!r}")
-    if strategy_kind not in _TEMPLATE_CACHE:
-        ref = resources.files("mtckit.data.prompts").joinpath(f"{strategy_kind}.txt")
-        with resources.as_file(ref) as path:
-            _TEMPLATE_CACHE[strategy_kind] = load_template(path, strategy_kind)
-    return _TEMPLATE_CACHE[strategy_kind]
+    return _packaged_template(strategy_kind)
+
+
+@functools.cache
+def _packaged_template(strategy_kind: str) -> PromptTemplate:
+    ref = resources.files("mtckit.data.prompts").joinpath(f"{strategy_kind}.txt")
+    with resources.as_file(ref) as path:
+        return load_template(path, strategy_kind)
 
 
 @dataclass(frozen=True)
@@ -133,23 +143,22 @@ class TypeGuide:
     heuristic: str
 
 
-_TYPE_GUIDES: dict[int, TypeGuide] | None = None
-
-
 def type_guides() -> dict[int, TypeGuide]:
     """Per-type prompt material (name, description, format heuristic)."""
-    global _TYPE_GUIDES
-    if _TYPE_GUIDES is None:
-        ref = resources.files("mtckit.data.prompts").joinpath("type_guides.tsv")
-        guides: dict[int, TypeGuide] = {}
-        for line in ref.read_text(encoding="utf-8").splitlines():
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            t, name, description, heuristic = stripped.split("\t")
-            guides[int(t)] = TypeGuide(name, description, heuristic)
-        _TYPE_GUIDES = guides
-    return dict(_TYPE_GUIDES)
+    return dict(_type_guide_table())
+
+
+@functools.cache
+def _type_guide_table() -> dict[int, TypeGuide]:
+    ref = resources.files("mtckit.data.prompts").joinpath("type_guides.tsv")
+    guides: dict[int, TypeGuide] = {}
+    for line in ref.read_text(encoding="utf-8").splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        t, name, description, heuristic = stripped.split("\t")
+        guides[int(t)] = TypeGuide(name, description, heuristic)
+    return guides
 
 
 def _terminals_block() -> str:
@@ -168,6 +177,36 @@ def _activities_block() -> str:
     return ", ".join(sorted(known))
 
 
+_SLOT = re.compile(r"\{(\w+)\}")
+
+
+def _fill(text: str, slots: dict[str, str]) -> str:
+    """Replace every ``{name}`` slot in one pass; unknown names stay as written."""
+    return _SLOT.sub(lambda m: slots.get(m.group(1), m.group(0)), text)
+
+
+@functools.lru_cache(maxsize=128)
+def _render_prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> str:
+    """Header and every example block, joined: the part of a prompt before the query."""
+    slots = {
+        "terminals": _terminals_block(),
+        "nonterminals": _forms_block(),
+        "activities": _activities_block(),
+    }
+    if mtc_type is not None:
+        guide = _type_guide_table()[mtc_type]
+        slots.update(
+            type_name=guide.name,
+            type_description=guide.description,
+            format_heuristic=guide.heuristic,
+        )
+    blocks = [_fill(template.header, slots)]
+    for pair in fewshot.pairs:
+        answer = pair.answer if mtc_type is None else gold_answer(pair.dug, mtc_type)
+        blocks.append(_fill(template.example_format, {"text": pair.dug.text, "answer": answer}))
+    return "\n\n".join(blocks)
+
+
 def build_prompt(
     template: PromptTemplate,
     fewshot: FewShotSet,
@@ -182,31 +221,13 @@ def build_prompt(
     if template.strategy_kind == "specialized":
         if mtc_type is None:
             raise StrategyMismatchError("specialized template needs an mtc_type")
-        guide = type_guides().get(mtc_type)
-        if guide is None:
+        if mtc_type not in _type_guide_table():
             raise StrategyMismatchError(f"no type guide for constraint type {mtc_type}")
     elif mtc_type is not None:
         raise StrategyMismatchError(f"{template.strategy_kind} template takes no mtc_type")
 
-    header = template.header
-    header = header.replace("{terminals}", _terminals_block())
-    header = header.replace("{nonterminals}", _forms_block())
-    header = header.replace("{activities}", _activities_block())
-    if template.strategy_kind == "specialized":
-        header = header.replace("{type_name}", guide.name)
-        header = header.replace("{type_description}", guide.description)
-        header = header.replace("{format_heuristic}", guide.heuristic)
-
-    blocks = [header]
-    for pair in fewshot.pairs:
-        answer = pair.answer if mtc_type is None else gold_answer(pair.dug, mtc_type)
-        blocks.append(
-            template.example_format.replace("{text}", pair.dug.text).replace("{answer}", answer)
-        )
     query = template.query_format.replace("{text}", dug.text)
-    blocks.append(query)
-    prompt = "\n\n".join(blocks)
-
+    prompt = f"{_render_prefix(template, fewshot, mtc_type)}\n\n{query}"
     if prompt.count(query) != 1:
         raise PromptBuildError("query block must appear exactly once in the rendered prompt")
     return prompt

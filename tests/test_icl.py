@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import mtckit
 from mtckit import grammar
 from mtckit.icl import (
     CompletionRequest,
@@ -23,11 +32,15 @@ from mtckit.icl import (
     fewshot_from_dugs,
     gold_answer,
     is_difficult,
+    iter_extract_corpus,
     load_template,
     prompt_fingerprint,
     select_fewshot,
+    type_guides,
 )
+from mtckit.icl import prompts
 from mtckit.icl.fewshot import FewShotSet
+from mtckit.normalize import default_activity_aliases
 
 from conftest import make_dug
 
@@ -181,6 +194,158 @@ def test_duplicate_text_collision_detected(pool):
     fewshot = fewshot_from_dugs([twin])
     with pytest.raises(PromptBuildError):
         build_prompt(default_template("simple"), fewshot, dug)
+
+
+def test_braces_in_example_text_render_verbatim():
+    template = default_template("simple")
+    fewshot = fewshot_from_dugs([make_dug("e", "Take {answer} with water.", ["3 times day"])])
+    prompt = build_prompt(template, fewshot, make_dug("q", "query text", []))
+    assert "Statement: Take {answer} with water.\nConstraints: 3 times day" in prompt
+    assert "Take 3 times day with water." not in prompt
+
+
+# ---------------------------------------------------------- prefix cache
+
+
+def _reference_prompt(template, fewshot, dug, mtc_type=None) -> str:
+    """Uncached render, slot by slot, from the public template material."""
+    activities = sorted(set(default_activity_aliases().values()) | {"taking medication"})
+    header = (
+        template.header.replace(
+            "{terminals}", "\n".join(f"- {n}: {v}" for n, v in grammar.TERMINALS)
+        )
+        .replace(
+            "{nonterminals}",
+            "\n".join(
+                f"{t}. {grammar.MTC_TYPE_NAMES[t]}: {form} (e.g. \"{example}\")"
+                for t, (form, example) in sorted(grammar.CANONICAL_FORMS.items())
+            ),
+        )
+        .replace("{activities}", ", ".join(activities))
+    )
+    if mtc_type is not None:
+        guide = type_guides()[mtc_type]
+        header = (
+            header.replace("{type_name}", guide.name)
+            .replace("{type_description}", guide.description)
+            .replace("{format_heuristic}", guide.heuristic)
+        )
+    examples = [
+        template.example_format.replace("{text}", pair.dug.text).replace(
+            "{answer}", gold_answer(pair.dug, mtc_type)
+        )
+        for pair in fewshot.pairs
+    ]
+    query = template.query_format.replace("{text}", dug.text)
+    return "\n\n".join([header, *examples, query])
+
+
+def _probes(kind):
+    return (1, 2, 3, 4, 5, 6, 7) if kind == "specialized" else (None,)
+
+
+@pytest.mark.parametrize("kind", ["simple", "guided", "specialized"])
+def test_cached_prompt_matches_reference(pool, kind):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    template = default_template(kind)
+    dugs = [make_dug(f"q{i}", f"Take dose {i} twice daily.", []) for i in range(3)]
+    prompts._render_prefix.cache_clear()
+    for _ in range(2):  # cold, then warm
+        for dug in dugs:
+            for t in _probes(kind):
+                assert build_prompt(template, fewshot, dug, t) == _reference_prompt(
+                    template, fewshot, dug, t
+                )
+    info = prompts._render_prefix.cache_info()
+    assert info.misses == len(_probes(kind))
+    assert info.hits == 6 * len(_probes(kind)) - info.misses
+
+
+def test_equal_fewshot_sets_share_a_prefix_distinct_ones_do_not(pool):
+    template = default_template("specialized")
+    dug = make_dug("q", "Take it twice daily.", [])
+    first, twin = fewshot_from_dugs(pool[:6]), fewshot_from_dugs(pool[:6])
+    edited = fewshot_from_dugs([replace(d, text=f"{d.text} Edited.") for d in pool[:6]])
+    other = fewshot_from_dugs(pool[6:])
+    assert first == twin and first is not twin and hash(first) == hash(twin)
+    assert edited.ids == first.ids and edited != first
+    prompts._render_prefix.cache_clear()
+    for fewshot in (first, twin, edited, other, twin):
+        for t in (2, 4):
+            assert build_prompt(template, fewshot, dug, t) == _reference_prompt(
+                template, fewshot, dug, t
+            )
+    assert prompts._render_prefix.cache_info().misses == 6  # 3 distinct values x 2 types
+
+
+def test_templates_differing_only_in_example_format_keep_their_prefixes(pool):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    dug = make_dug("q", "Take it twice daily.", [])
+    base = default_template("guided")
+    variant = replace(base, example_format="IN: {text}\nOUT: {answer}")
+    for template in (base, variant, base, variant):
+        assert build_prompt(template, fewshot, dug) == _reference_prompt(template, fewshot, dug)
+    assert "OUT: " not in build_prompt(base, fewshot, dug)
+    assert build_prompt(variant, fewshot, dug).count("OUT: ") == len(fewshot)
+
+
+def test_strategy_mismatch_raised_with_warm_cache(pool):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    dug = make_dug("q", "text", [])
+    build_prompt(default_template("specialized"), fewshot, dug, mtc_type=2)
+    build_prompt(default_template("simple"), fewshot, dug)
+    for _ in range(2):
+        with pytest.raises(StrategyMismatchError):
+            build_prompt(default_template("specialized"), fewshot, dug)
+        with pytest.raises(StrategyMismatchError):
+            build_prompt(default_template("specialized"), fewshot, dug, mtc_type=9)
+        with pytest.raises(StrategyMismatchError):
+            build_prompt(default_template("simple"), fewshot, dug, mtc_type=2)
+
+
+def test_fewshot_set_value_semantics(pool):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    assert fewshot == select_fewshot(pool, k=8, seed=0)
+    assert fewshot != select_fewshot(pool, k=8, seed=1)
+    assert fewshot != FewShotSet(fewshot.pairs, ("empty",))
+    assert fewshot != fewshot.pairs
+    copy = pickle.loads(pickle.dumps(fewshot))
+    assert copy == fewshot and hash(copy) == hash(fewshot)
+    assert len({fewshot, copy, replace(fewshot)}) == 1
+
+
+def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool):
+    fewshot = _fewshot(pool)
+    strategy = PromptStrategy.specialized()
+    template = default_template("specialized")
+    dugs = [make_dug(f"s{i:02d}", f"Take dose {i} three times daily.", []) for i in range(40)]
+    client = ReplayClient(tmp_path)
+    for dug in dugs[:-1]:  # the last guideline has no fixtures and fails
+        for t in strategy.types:
+            client.store(build_prompt(template, fewshot, dug, t), f"{t} times day; before sleep")
+    expected = [r.to_dict() for r in iter_extract_corpus(dugs, strategy, fewshot, client)]
+    assert expected[-1]["error"] and not any(r["error"] for r in expected[:-1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        rounds = 0
+        while rounds < 3 or (rounds < 20 and time.monotonic() < deadline):
+            prompts._render_prefix.cache_clear()
+            records = iter_extract_corpus(dugs, strategy, fewshot, client, parallelism=8)
+            assert [r.to_dict() for r in records] == expected
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_import_leaves_requests_unloaded():
+    env = dict(os.environ)
+    src = str(Path(mtckit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mtckit; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --------------------------------------------------------------- clients
