@@ -16,10 +16,18 @@ the canonical form plus a small set of lenient rewrites (plural units,
 number words one..twelve, count articles such as "3 times a day",
 "times daily", mixed case); :func:`serialize` always emits the canonical
 form, so ``parse_mtc(serialize(m)) == m`` for every well-formed value.
+Counts and clock times take ASCII digits only.
+
+Model output repeats a narrow vocabulary, so :func:`parse_mtc` keeps the
+outcome of the last ``PARSE_CACHE_SIZE`` distinct strings in an LRU cache:
+the (immutable) value, or the rejection reason, from which each call
+raises a fresh :class:`NonvalidMtcError`. No other exception leaves the
+parser, so nothing else can be cached.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -298,7 +306,9 @@ def serialize(mtc: Mtc) -> str:
     return f"not {body}" if mtc.negated else body
 
 
-_NUMBER_WORDS = {
+#: Number words the grammar accepts for a count or a clock hour; ``normalize``
+#: and the rule baseline's ``{num}`` placeholder use this same table.
+NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
     "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
 }
@@ -313,10 +323,13 @@ _IP_WORDS = {v.value: v for v in IntervalPrep}
 _P_WORDS = {v.value: v for v in OccurrencePrep}
 _DAY_PARTS = {v.value: v for v in DayPart}
 
-_RANGE_RE = re.compile(r"^\d+\s*-\s*\d+$")
+# Only ASCII digits count: ``\d`` and ``str.isdigit`` also accept digits
+# such as "²" or "٣", which ``int()`` rejects or which no guideline means.
+_RANGE_RE = re.compile(r"^[0-9]+\s*-\s*[0-9]+$")
 _CLOCK_RE = re.compile(
-    r"^(?P<hour>\d{1,2}|[a-z]+)(?:[.:](?P<minute>\d{1,2}))?\s*(?P<mer>am|pm|a\.m\.?|p\.m\.?)$"
+    r"^(?P<hour>[0-9]{1,2}|[a-z]+)(?:[.:](?P<minute>[0-9]{1,2}))?\s*(?P<mer>am|pm|a\.m\.?|p\.m\.?)$"
 )
+
 
 
 def _parse_clock(text: str) -> ClockTime | None:
@@ -327,8 +340,8 @@ def _parse_clock(text: str) -> ClockTime | None:
     raw_hour = m.group("hour")
     if raw_hour.isdigit():
         hour = int(raw_hour)
-    elif raw_hour in _NUMBER_WORDS:
-        hour = _NUMBER_WORDS[raw_hour]
+    elif raw_hour in NUMBER_WORDS:
+        hour = NUMBER_WORDS[raw_hour]
     else:
         return None
     minute = int(m.group("minute")) if m.group("minute") else 0
@@ -341,10 +354,10 @@ def _parse_clock(text: str) -> ClockTime | None:
 def _parse_count(token: str) -> int:
     if _RANGE_RE.match(token):
         raise NonvalidMtcError(f"numeric range not allowed as a count: {token!r}")
-    if token.isdigit():
+    if token.isascii() and token.isdigit():
         n = int(token)
-    elif token in _NUMBER_WORDS:
-        n = _NUMBER_WORDS[token]
+    elif token in NUMBER_WORDS:
+        n = NUMBER_WORDS[token]
     else:
         raise NonvalidMtcError(f"expected a number, got {token!r}")
     if n < 1:
@@ -442,14 +455,41 @@ def _parse_occurrence_family(tokens: list[str]) -> Mtc:
     raise NonvalidMtcError(f"expected a day part or 'time each unit', got {' '.join(rest)!r}")
 
 
+#: Distinct strings whose parse (value or rejection reason) is kept.
+PARSE_CACHE_SIZE = 1024
+
+
 def parse_mtc(text: str) -> Mtc:
     """Parse a single candidate string into a typed MTC.
 
     Accepts canonical strings and the lenient variants listed in the module
     docstring. Raises :class:`NonvalidMtcError` when no constraint form
     matches the whole string, when a numeric range stands where a count
-    belongs, or when the input is empty.
+    belongs, or when the input is empty. Results are memoized per string
+    (see :func:`_parse_memo`); every rejection raises a fresh error.
     """
+    result = _parse_memo(text)
+    if isinstance(result, str):
+        raise NonvalidMtcError(result)
+    return result
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_memo(text: str) -> Mtc | str:
+    """The parsed value of ``text``, or the reason it was rejected.
+
+    MTC values are frozen, so one value can be handed to every caller;
+    exceptions are not cached, since a raised exception carries its
+    traceback.
+    """
+    try:
+        return _parse(text)
+    except NonvalidMtcError as exc:
+        return exc.reason
+
+
+def _parse(text: str) -> Mtc:
+    """:func:`parse_mtc` without the memo."""
     if text is None or not text.strip():
         raise NonvalidMtcError("empty string")
     tokens = text.lower().split()

@@ -64,6 +64,7 @@ class ReplayClient:
 
     def __init__(self, fixtures_dir: str | Path):
         self.fixtures_dir = Path(fixtures_dir)
+        self._prefix = os.path.join(self.fixtures_dir, "")
 
     def _path(self, prompt: str) -> Path:
         return self.fixtures_dir / f"{prompt_fingerprint(prompt)}.txt"
@@ -76,10 +77,46 @@ class ReplayClient:
         return path
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        path = self._path(request.prompt)
-        if not path.exists():
-            raise ServiceError(f"no replay fixture {path.name} in {self.fixtures_dir}")
-        return CompletionResponse(path.read_text(encoding="utf-8"))
+        """The fixture's text, as ``Path.read_text(encoding="utf-8")`` returns it.
+
+        A fixture that is missing, unreadable or not UTF-8 raises
+        :class:`ServiceError`.
+        """
+        name = f"{prompt_fingerprint(request.prompt)}.txt"
+        try:
+            data = _read_file(self._prefix + name)
+        except FileNotFoundError:
+            raise ServiceError(f"no replay fixture {name} in {self.fixtures_dir}") from None
+        except OSError as exc:
+            raise ServiceError(f"cannot read replay fixture {name} in {self.fixtures_dir}: {exc}") from None
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ServiceError(f"replay fixture {name} in {self.fixtures_dir} is not UTF-8: {exc}") from None
+        if "\r" in text:
+            # Universal newlines, as text-mode reading applies them.
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return CompletionResponse(text)
+
+
+#: Bytes asked for per read; a fixture is one short answer.
+_READ_SIZE = 4096
+
+
+def _read_file(path: str) -> bytes:
+    """Whole contents of a regular file, read without a buffered file object.
+
+    A short read from a regular file marks its end, so a fixture smaller
+    than ``_READ_SIZE`` costs one ``open``, one ``read`` and one ``close``.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, _READ_SIZE)]
+        while len(chunks[-1]) == _READ_SIZE:
+            chunks.append(os.read(fd, _READ_SIZE))
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 class HttpCompletionClient:
@@ -128,9 +165,11 @@ class HttpCompletionClient:
             body["prompt"] = request.prompt
         return body
 
-    def _extract_text(self, data: dict) -> tuple[str, str]:
+    def _extract_text(self, data: object) -> tuple[str, str]:
+        if not isinstance(data, dict):
+            raise ServiceError("response body is not a JSON object")
         choices = data.get("choices")
-        if isinstance(choices, list) and choices:
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
             choice = choices[0]
             finish = str(choice.get("finish_reason", "stop"))
             if self.use_messages:

@@ -11,9 +11,10 @@ service call marks the record failed; results are never fabricated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .. import grammar
 from ..dataset import Dug
@@ -147,7 +148,7 @@ def extract(
 
 
 def iter_extract_corpus(
-    dugs: Sequence[Dug],
+    dugs: Iterable[Dug],
     strategy: PromptStrategy,
     fewshot: FewShotSet,
     client: CompletionClient,
@@ -158,8 +159,11 @@ def iter_extract_corpus(
     """Yield records in input order as they become available.
 
     ``parallelism`` bounds concurrent completion calls; emission order is
-    the input order regardless of completion order, so output can be
-    streamed without holding a whole corpus in memory.
+    the input order regardless of completion order. At most
+    ``2 * parallelism`` guidelines are taken from ``dugs`` ahead of the
+    records yielded so far, so output can be streamed without holding a
+    whole corpus in memory. Closing the iterator cancels the guidelines
+    not yet started.
     """
 
     def worker(dug: Dug) -> ExtractionRecord:
@@ -169,12 +173,23 @@ def iter_extract_corpus(
         for dug in dugs:
             yield worker(dug)
         return
+    window = 2 * parallelism
+    pending: deque[Future[ExtractionRecord]] = deque()
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield from pool.map(worker, dugs)
+        try:
+            for dug in dugs:
+                pending.append(pool.submit(worker, dug))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def extract_corpus(
-    dugs: Sequence[Dug],
+    dugs: Iterable[Dug],
     strategy: PromptStrategy,
     fewshot: FewShotSet,
     client: CompletionClient,

@@ -9,24 +9,34 @@ intact so it fails validity downstream), it only canonicalizes surface noise.
 Activity aliases live in a plain-text table (``alias<TAB>canonical``, ``#``
 comments) shipped with the package and overridable per call, so corpora with
 new activity vocabulary can extend them without code changes.
+
+Model answers repeat a narrow vocabulary, so :func:`normalize_raw_output`
+under the default alias table keeps the results of the last
+``NORMALIZE_CACHE_SIZE`` distinct raw strings in an LRU cache; the result
+type is frozen and holds only tuples, so callers share one value. Number
+words come from :data:`mtckit.grammar.NUMBER_WORDS`, and only ASCII digits
+count as a number.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .grammar import NUMBER_WORDS
+
 
 class NotANumberError(ValueError):
-    """A token is neither a digit string nor a known number word."""
+    """A token is neither an ASCII digit string nor a known number word."""
 
 
-_NUMBER_WORDS = {
-    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
-    "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
-}
+#: Distinct raw outputs whose normalization under the default alias table is kept.
+NORMALIZE_CACHE_SIZE = 1024
+
+_NUMBER_DIGITS = {word: str(value) for word, value in NUMBER_WORDS.items()}
 
 _PLURAL_UNITS = {"minutes": "minute", "hours": "hour", "days": "day", "weeks": "week"}
 
@@ -58,30 +68,27 @@ def default_activity_aliases() -> dict[str, str]:
         return load_alias_table(path)
 
 
-_DEFAULT_ALIASES: dict[str, str] | None = None
+@functools.cache
+def _default_aliases() -> dict[str, str]:
+    return default_activity_aliases()
 
 
 def _aliases(table: dict[str, str] | None) -> dict[str, str]:
-    global _DEFAULT_ALIASES
-    if table is not None:
-        return table
-    if _DEFAULT_ALIASES is None:
-        _DEFAULT_ALIASES = default_activity_aliases()
-    return _DEFAULT_ALIASES
+    return _default_aliases() if table is None else table
 
 
 def normalize_number(token: str) -> int:
-    """Positive integer from a digit string or a number word one..twelve."""
+    """Positive integer from an ASCII digit string or a number word one..twelve."""
     token = token.strip().lower()
     if not token:
         raise NotANumberError("empty token")
-    if token.isdigit():
+    if token.isascii() and token.isdigit():
         value = int(token)
         if value < 1:
             raise NotANumberError(f"not a positive count: {token!r}")
         return value
-    if token in _NUMBER_WORDS:
-        return _NUMBER_WORDS[token]
+    if token in NUMBER_WORDS:
+        return NUMBER_WORDS[token]
     raise NotANumberError(f"not a number: {token!r}")
 
 
@@ -157,8 +164,23 @@ def normalize_raw_output(raw: str, aliases: dict[str, str] | None = None) -> Nor
     ``not``), and apply activity aliases after ``before``/``after``.
     Segments are never split on ``OR``: an alternative-joined answer stays
     one candidate and fails validity downstream.
+
+    With the default alias table (``aliases is None``) results are memoized
+    per raw string; an explicit table is applied uncached.
     """
-    table = _aliases(aliases)
+    if aliases is None:
+        return _normalize_memo(raw)
+    return _normalize(raw, aliases)
+
+
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+def _normalize_memo(raw: str) -> NormalizationResult:
+    # The result is frozen and holds only tuples, so every caller can share it.
+    return _normalize(raw, _default_aliases())
+
+
+def _normalize(raw: str, table: dict[str, str]) -> NormalizationResult:
+    """:func:`normalize_raw_output` under ``table``, without the memo."""
     text = _strip_wrapping(raw or "")
     if " ".join(text.lower().split()) == "none":
         return NormalizationResult(())
@@ -176,7 +198,7 @@ def normalize_raw_output(raw: str, aliases: dict[str, str] | None = None) -> Nor
             continue
         cleaned = _strip_instruction_stub(cleaned)
         tokens = cleaned.split()
-        tokens = [str(_NUMBER_WORDS[t]) if t in _NUMBER_WORDS else t for t in tokens]
+        tokens = [_NUMBER_DIGITS.get(t, t) for t in tokens]
         tokens = [_PLURAL_UNITS.get(t, t) for t in tokens]
         for i in range(1, len(tokens)):
             if tokens[i] == "daily" and tokens[i - 1] == "times":

@@ -19,11 +19,9 @@ from typing import Iterable, Sequence
 
 from .dataset import Dug
 from .evaluation import MismatchedIdsError, _mean, _prf
-from .grammar import mtc_type
+from .grammar import NUMBER_WORDS, mtc_type
 
-_NUM_RE = (
-    r"(?:\d+|one|two|three|four|five|six|seven|eight|nine|ten|eleven|twelve)"
-)
+_NUM_RE = r"(?:\d+|" + "|".join(NUMBER_WORDS) + ")"
 _CLOCK_RE = r"\d{1,2}(?:[.:]\d{2})?\s*(?:a\.?m\.?|p\.?m\.?)"
 
 

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mtckit import grammar
 from mtckit.grammar import (
+    PARSE_CACHE_SIZE,
     SAME_TIME,
     ClockTime,
     Consistency,
@@ -130,6 +132,16 @@ NONVALID_FIXTURES = [
     "30 minute before",
     "2 hour before 9 am",
     "9 am",
+    # Digits other than ASCII: ``str.isdigit`` accepts "²" and ``int()``
+    # does not; ``int()`` accepts "٣", which no guideline means.
+    "² times day",
+    "٣ times day",
+    "²",
+    "3² times day",
+    "at ٣ am each day",
+    "in ١٠.٣٠ pm each day",
+    "٣-٤ times day",
+    "٣٠ minute before eating",
 ]
 
 
@@ -354,3 +366,54 @@ def test_seeded_fuzz_round_trip_quick():
     for _ in range(2000):
         mtc = random_mtc(rng)
         assert parse_mtc(serialize(mtc)) == mtc
+
+
+# ------------------------------------------------------------------ memo
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except NonvalidMtcError as exc:
+        return "rejected", exc.reason
+
+
+_grammar_tokens = st.lists(
+    st.sampled_from(
+        ["not", "3", "12", "0", "²", "٣", "three", "times", "a", "day", "daily", "hours",
+         "before", "after", "eating", "at", "in", "the", "same", "time", "each", "9", "9:30",
+         "10.30", "am", "p.m.", "pm", "morning", "apart", "for", "within", "1-2", "or"]
+    ),
+    max_size=7,
+).map(" ".join)
+_texts = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40),
+    _grammar_tokens,
+    st.randoms(use_true_random=False).map(lambda rng: serialize(random_mtc(rng))),
+)
+
+
+@given(_texts)
+def test_memoized_parse_equals_uncached_parse(text):
+    expected = _outcome(grammar._parse, text)
+    assert _outcome(parse_mtc, text) == expected  # cold or warm
+    assert _outcome(parse_mtc, text) == expected  # warm
+    assert is_valid(text) == (expected[0] == "parsed")
+
+
+def test_each_rejection_raises_a_fresh_error():
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NonvalidMtcError) as caught:
+            parse_mtc("2 times day OR 3 times day")
+        errors.append(caught.value)
+    assert errors[0] is not errors[1]
+    assert errors[0].reason == errors[1].reason == "frequency must end with a single time unit"
+
+
+def test_parse_cache_is_bounded():
+    assert PARSE_CACHE_SIZE == 1024
+    assert grammar._parse_memo.cache_info().maxsize == PARSE_CACHE_SIZE
+    for i in range(PARSE_CACHE_SIZE + 10):
+        parse_mtc(f"{i + 1} times day")
+    assert grammar._parse_memo.cache_info().currsize == PARSE_CACHE_SIZE

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +17,7 @@ import mtckit
 from mtckit import grammar
 from mtckit.icl import (
     CompletionRequest,
+    CompletionResponse,
     FewShotLeakageError,
     HttpCompletionClient,
     InsufficientPoolError,
@@ -361,18 +363,58 @@ def test_replay_round_trip(tmp_path):
 
 def test_replay_missing_fixture(tmp_path):
     client = ReplayClient(tmp_path)
-    with pytest.raises(ServiceError):
+    with pytest.raises(ServiceError) as err:
         client.complete(CompletionRequest("never stored"))
+    assert str(err.value) == f"no replay fixture {prompt_fingerprint('never stored')}.txt in {tmp_path}"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"3 times day\r\nbefore sleep\r\n", b"3 times day\rbefore sleep\r", b"a\r\r\nb\n\rc",
+     b"\xef\xbb\xbfin morning", b"plain", b"", "caf\u00e9 \u2013 4 hours apart".encode(),
+     b"x" * 4096, b"3 times day\r\n" * 2000],
+)
+def test_replay_reads_fixture_as_read_text_does(tmp_path, data):
+    client = ReplayClient(tmp_path)
+    path = client.store("p", "")
+    path.write_bytes(data)
+    assert client.complete(CompletionRequest("p")).text == path.read_text(encoding="utf-8")
+
+
+def _unreadable_fixture(tmp_path, kind, prompt="p") -> ReplayClient:
+    client = ReplayClient(tmp_path)
+    name = f"{prompt_fingerprint(prompt)}.txt"
+    if kind == "directory":
+        (tmp_path / name).mkdir()
+    elif kind == "not utf-8":
+        (tmp_path / name).write_bytes(b"3 times day \xff\xfe")
+    elif kind == "fixtures dir is a file":
+        (tmp_path / "fixtures").write_text("")
+        client = ReplayClient(tmp_path / "fixtures")
+    return client
+
+
+_UNREADABLE = ["directory", "not utf-8", "fixtures dir is a file"]
+
+
+@pytest.mark.parametrize("kind", _UNREADABLE)
+def test_replay_unreadable_fixture_is_service_error(tmp_path, kind):
+    client = _unreadable_fixture(tmp_path, kind)
+    with pytest.raises(ServiceError):
+        client.complete(CompletionRequest("p"))
+
+
+_NO_JSON = object()
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="err"):
+    def __init__(self, status_code=200, payload=_NO_JSON, text="err"):
         self.status_code = status_code
         self._payload = payload
         self.text = text
 
     def json(self):
-        if self._payload is None:
+        if self._payload is _NO_JSON:
             raise ValueError("no json")
         return self._payload
 
@@ -432,6 +474,18 @@ def test_http_client_exhausts_retries(monkeypatch):
     with pytest.raises(ServiceError) as err:
         client.complete(CompletionRequest("p"))
     assert err.value.attempt == 3 and err.value.status == 500
+
+
+_MALFORMED_BODIES = [[], "x", None, 3, {"choices": ["3 times day"]}, {"choices": [None]},
+                     {"choices": [{"message": "NONE"}]}, {"choices": {}}]
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_BODIES)
+def test_http_client_malformed_body_is_service_error(payload):
+    session = FakeSession([FakeResponse(payload=payload)])
+    client = HttpCompletionClient("http://svc", model="m", api_key="k", session=session)
+    with pytest.raises(ServiceError):
+        client.complete(CompletionRequest("p"))
 
 
 def test_http_client_client_error_fails_fast():
@@ -523,6 +577,85 @@ def test_extract_marks_failure_without_fabricating(tmp_path, pool):
     record = extract(dug, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path))
     assert record.failed
     assert record.mtcs == () and record.candidates == ()
+
+
+@pytest.mark.parametrize("kind", _UNREADABLE)
+def test_extract_marks_unreadable_fixture_failed(tmp_path, pool, kind):
+    fewshot = _fewshot(pool)
+    dug = make_dug("q7", "Take with food as directed.", [])
+    prompt = build_prompt(default_template("simple"), fewshot, dug)
+    client = _unreadable_fixture(tmp_path, kind, prompt)
+    record = extract(dug, PromptStrategy.simple(), fewshot, client)
+    assert record.failed
+    assert record.raw_outputs == () and record.candidates == () and record.mtcs == ()
+
+
+@pytest.mark.parametrize("payload", _MALFORMED_BODIES)
+def test_extract_marks_malformed_http_body_failed(pool, payload):
+    fewshot = _fewshot(pool)
+    dug = make_dug("q8", "Take with food as directed.", [])
+    session = FakeSession([FakeResponse(payload=payload)])
+    client = HttpCompletionClient("http://svc", model="m", api_key="k", session=session)
+    record = extract(dug, PromptStrategy.simple(), fewshot, client)
+    assert record.failed
+    assert record.raw_outputs == () and record.predictions == () and record.mtcs == ()
+
+
+class _Pulls:
+    """Iterator over ``items`` that counts how many were taken."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.count = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.count += 1
+        return item
+
+
+class _CountingClient:
+    """Answers every prompt; counts calls across threads."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+        time.sleep(0.001)
+        return CompletionResponse("3 times day")
+
+
+@pytest.mark.parametrize("parallelism", [2, 3])
+def test_parallel_extraction_pulls_a_bounded_window(pool, parallelism):
+    fewshot = _fewshot(pool)
+    dugs = [make_dug(f"w{i:02d}", f"Take dose {i} three times daily.", []) for i in range(30)]
+    serial = [r.to_dict() for r in iter_extract_corpus(dugs, PromptStrategy.simple(), fewshot, _CountingClient())]
+    pulls = _Pulls(dugs)
+    got = []
+    for record in iter_extract_corpus(pulls, PromptStrategy.simple(), fewshot, _CountingClient(), parallelism):
+        got.append(record.to_dict())
+        assert pulls.count <= len(got) + 2 * parallelism
+    assert got == serial and pulls.count == len(dugs)
+
+
+def test_closing_parallel_extraction_stops_pulling(pool):
+    fewshot = _fewshot(pool)
+    pulls = _Pulls(make_dug(f"c{i:02d}", f"Take dose {i} three times daily.", []) for i in range(30))
+    client = _CountingClient()
+    records = iter_extract_corpus(pulls, PromptStrategy.simple(), fewshot, client, parallelism=2)
+    assert next(records).dug_id == "c00"
+    records.close()
+    assert pulls.count <= 1 + 4
+    calls = client.calls
+    assert calls <= pulls.count
+    time.sleep(0.01)
+    assert client.calls == calls  # nothing keeps running after close
 
 
 def test_extract_corpus_order_and_determinism(tmp_path, pool):

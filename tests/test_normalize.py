@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from mtckit import grammar
+from mtckit import grammar, normalize, rulebase
 from mtckit.normalize import (
+    NORMALIZE_CACHE_SIZE,
     NotANumberError,
     default_activity_aliases,
     load_alias_table,
@@ -15,6 +16,7 @@ from mtckit.normalize import (
     normalize_raw_output,
 )
 
+from conftest import random_mtc
 from test_grammar import CANONICAL_FIXTURES
 
 
@@ -108,7 +110,7 @@ def test_normalize_number(token, expected):
     assert normalize_number(token) == expected
 
 
-@pytest.mark.parametrize("token", ["dozen", "", "0", "-3", "3.5", "many"])
+@pytest.mark.parametrize("token", ["dozen", "", "0", "-3", "3.5", "many", "²", "٣", "1²"])
 def test_normalize_number_rejects(token):
     with pytest.raises(NotANumberError):
         normalize_number(token)
@@ -178,3 +180,58 @@ def test_never_crashes_and_no_empty_candidates(raw):
 @given(st.sampled_from(["none", "NONE", "None", " none ", "NONE.", '"none"']))
 def test_none_totality(raw):
     assert normalize_raw_output(raw).candidates == ()
+
+
+# ------------------------------------------------------- memo and vocabulary
+
+_raw_outputs = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80),
+    st.lists(
+        st.sampled_from(
+            ["Take", "do not", "NONE", "three", "times", "daily", "hours", "before", "after",
+             "bedtime", "meals", "eating", "apart", ";", "\n", '"', ".", "OR", "in", "morning"]
+        ),
+        max_size=10,
+    ).map(" ".join),
+    st.randoms(use_true_random=False).map(lambda rng: grammar.serialize(random_mtc(rng))),
+)
+
+
+@given(_raw_outputs)
+def test_memoized_normalization_equals_uncached(raw):
+    expected = normalize._normalize(raw, default_activity_aliases())
+    assert normalize_raw_output(raw) == expected  # cold or warm
+    assert normalize_raw_output(raw) == expected  # warm
+
+
+@given(_raw_outputs)
+def test_explicit_alias_table_runs_uncached(raw):
+    table = {"meals": "supper"}
+    before = normalize._normalize_memo.cache_info()
+    assert normalize_raw_output(raw, table) == normalize._normalize(raw, table)
+    after = normalize._normalize_memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_explicit_alias_table_is_applied_despite_a_warm_cache():
+    assert candidates("before bedtime") == ("before sleep",)
+    assert normalize_raw_output("before bedtime", {"bedtime": "lights out"}).candidates == (
+        "before lights out",
+    )
+    assert candidates("before bedtime") == ("before sleep",)
+
+
+def test_normalize_cache_is_bounded():
+    assert NORMALIZE_CACHE_SIZE == 1024
+    assert normalize._normalize_memo.cache_info().maxsize == NORMALIZE_CACHE_SIZE
+
+
+def test_number_words_come_from_the_grammar():
+    assert list(grammar.NUMBER_WORDS) == [
+        "one", "two", "three", "four", "five", "six",
+        "seven", "eight", "nine", "ten", "eleven", "twelve",
+    ]
+    for word, value in grammar.NUMBER_WORDS.items():
+        assert normalize_number(word) == value
+        assert candidates(f"{word} times daily") == (f"{value} times day",)
+        assert rulebase.compile_pattern("{num} times").search(f"take {word} times a day")
