@@ -13,12 +13,24 @@ unobserved activities, windows shorter than one period) is reported as
 ``indeterminate`` rather than guessed.
 
 Clock-time comparisons use each event's own local wall clock, so a
-traveling patient's 9 am intake stays a 9 am intake.
+traveling patient's 9 am intake stays a 9 am intake. A consistency
+constraint with a clock anchor (``at 9 am each day``) requires every
+intake's clock time within the consistency tolerance of the anchor,
+measured around the 24-hour dial; ``the same time each day`` bounds the
+spread of the intakes' clock times, and ``the same time each week`` the
+spread of their weekday-and-clock times.
+
+Every check costs O(n log m) for n intakes and m matching events: it sorts
+the timestamps it searches once (linear on the sorted events that
+:meth:`Timeline.build` yields) and bisects them per intake or per period.
+Intakes are walked in timeline order, so the first violating intake named
+in an explanation does not depend on how the search is done.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 from enum import Enum
@@ -26,6 +38,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .grammar import (
+    ClockTime,
     Consistency,
     DayPart,
     DefinitiveDependency,
@@ -43,6 +56,8 @@ from .grammar import (
 from .normalize import normalize_activity
 
 EVENT_KINDS = ("intake", "activity")
+
+MINUTES_PER_DAY = 24 * 60
 
 UNIT_DURATION = {
     TimeUnit.MINUTE: timedelta(minutes=1),
@@ -68,9 +83,13 @@ class Verdict:
             raise ValueError("verdict explanation must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEvent:
-    """A medication intake or a recognized patient activity."""
+    """A medication intake or a recognized patient activity.
+
+    Slotted, and its name comes from the memoized :func:`normalize_activity`,
+    so events with the same activity share one name string.
+    """
 
     kind: str
     name: str
@@ -79,6 +98,8 @@ class TimelineEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"event name must be a string, got {self.name!r}")
         object.__setattr__(self, "name", normalize_activity(self.name))
 
     def minutes_into_day(self) -> int:
@@ -117,7 +138,10 @@ class Timeline:
         return tuple(e for e in self.events if e.kind == "activity" and e.name == wanted)
 
 
-def _parse_timestamp(value: str) -> datetime:
+def parse_timestamp(value: str) -> datetime:
+    """An ISO-8601 timestamp (``Z`` allowed) that must carry a timezone."""
+    if not isinstance(value, str):
+        raise ValueError(f"timestamp must be an ISO-8601 string, got {value!r}")
     parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no timezone")
@@ -135,8 +159,10 @@ def load_timeline(
             continue
         try:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record must be a JSON object")
             events.append(
-                TimelineEvent(record["kind"], record["name"], _parse_timestamp(record["timestamp"]))
+                TimelineEvent(record["kind"], record["name"], parse_timestamp(record["timestamp"]))
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad timeline record: {exc}") from None
@@ -159,7 +185,8 @@ class ToleranceConfig:
     dependency_tolerance: timedelta = timedelta(minutes=10)
     #: how far before/after an intake a matching activity may occur (type 4)
     imprecision_horizon: timedelta = timedelta(hours=2)
-    #: maximum spread of intake clock times for consistency constraints
+    #: maximum spread of intake clock times for ``the same time`` consistency,
+    #: and maximum distance from the anchor for clock-anchored consistency
     consistency_tolerance: timedelta = timedelta(minutes=60)
     #: half-open local-time windows for the named day parts
     day_part_windows: dict[DayPart, tuple[time, time]] = field(default_factory=_default_day_parts)
@@ -174,12 +201,13 @@ def _fmt(event: TimelineEvent) -> str:
 
 def _check_frequency(mtc: Frequency, timeline: Timeline, intakes) -> Verdict:
     period = UNIT_DURATION[mtc.unit]
+    times = sorted(e.timestamp for e in intakes)
     start, end = timeline.window
     period_start = start
     checked = 0
     while period_start + period <= end:
         period_end = period_start + period
-        count = sum(1 for e in intakes if period_start <= e.timestamp < period_end)
+        count = bisect_left(times, period_end) - bisect_left(times, period_start)
         if count != mtc.n:
             return Verdict(
                 VerdictStatus.VIOLATED,
@@ -229,16 +257,21 @@ def _check_interval(mtc: Interval, intakes) -> Verdict:
     )
 
 
+def _activity_times(timeline: Timeline, activity: str) -> list[datetime]:
+    return sorted(e.timestamp for e in timeline.activities(activity))
+
+
 def _check_definitive_dependency(
     mtc: DefinitiveDependency, timeline: Timeline, intakes, cfg: ToleranceConfig
 ) -> Verdict:
-    matching = timeline.activities(mtc.activity)
-    if not matching:
+    times = _activity_times(timeline, mtc.activity)
+    if not times:
         return Verdict(
             VerdictStatus.INDETERMINATE,
             f"no {mtc.activity!r} activity events observed in window",
         )
     offset = mtc.n * UNIT_DURATION[mtc.unit]
+    tolerance = cfg.dependency_tolerance
     for intake in intakes:
         # "before eating" means the intake precedes the activity by the offset
         expected = (
@@ -246,11 +279,13 @@ def _check_definitive_dependency(
             if mtc.dp is DependencyPrep.BEFORE
             else intake.timestamp - offset
         )
-        if not any(abs(a.timestamp - expected) <= cfg.dependency_tolerance for a in matching):
+        # some activity lies in [expected - tolerance, expected + tolerance]
+        i = bisect_left(times, expected - tolerance)
+        if i == len(times) or times[i] > expected + tolerance:
             return Verdict(
                 VerdictStatus.VIOLATED,
                 f"{_fmt(intake)} has no {mtc.activity!r} event near {expected.isoformat()} "
-                f"(tolerance {cfg.dependency_tolerance})",
+                f"(tolerance {tolerance})",
             )
     return Verdict(
         VerdictStatus.SATISFIED,
@@ -261,8 +296,8 @@ def _check_definitive_dependency(
 def _check_imprecise_dependency(
     mtc: ImpreciseDependency, timeline: Timeline, intakes, cfg: ToleranceConfig
 ) -> Verdict:
-    matching = timeline.activities(mtc.activity)
-    if not matching:
+    times = _activity_times(timeline, mtc.activity)
+    if not times:
         return Verdict(
             VerdictStatus.INDETERMINATE,
             f"no {mtc.activity!r} activity events observed in window",
@@ -271,9 +306,13 @@ def _check_imprecise_dependency(
     for intake in intakes:
         ts = intake.timestamp
         if mtc.dp is DependencyPrep.BEFORE:
-            ok = any(ts < a.timestamp <= ts + horizon for a in matching)
+            # some activity lies in (ts, ts + horizon]
+            i = bisect_right(times, ts)
+            ok = i < len(times) and times[i] <= ts + horizon
         else:
-            ok = any(ts - horizon <= a.timestamp < ts for a in matching)
+            # some activity lies in [ts - horizon, ts)
+            i = bisect_left(times, ts - horizon)
+            ok = i < len(times) and times[i] < ts
         if not ok:
             side = "after" if mtc.dp is DependencyPrep.BEFORE else "before"
             return Verdict(
@@ -303,16 +342,36 @@ def _check_time_dependency(mtc: TimeDependency, intakes) -> Verdict:
 
 
 def _check_consistency(mtc: Consistency, intakes, cfg: ToleranceConfig) -> Verdict:
-    minutes = [e.minutes_into_day() for e in intakes]
+    tolerance = cfg.consistency_tolerance
+    if isinstance(mtc.time, ClockTime):
+        anchor = mtc.time.minutes_into_day()
+        for intake in intakes:
+            gap = abs(intake.minutes_into_day() - anchor)
+            distance = timedelta(minutes=min(gap, MINUTES_PER_DAY - gap))
+            if distance > tolerance:
+                return Verdict(
+                    VerdictStatus.VIOLATED,
+                    f"{_fmt(intake)} is {distance} from {mtc.time}, beyond {tolerance}",
+                )
+        return Verdict(
+            VerdictStatus.SATISFIED,
+            f"all {len(intakes)} intake(s) are within {tolerance} of {mtc.time}",
+        )
+    if mtc.unit is TimeUnit.WEEK:
+        what = "weekday and clock times"
+        minutes = [e.timestamp.weekday() * MINUTES_PER_DAY + e.minutes_into_day() for e in intakes]
+    else:
+        what = "clock times"
+        minutes = [e.minutes_into_day() for e in intakes]
     spread = timedelta(minutes=max(minutes) - min(minutes))
-    if spread > cfg.consistency_tolerance:
+    if spread > tolerance:
         return Verdict(
             VerdictStatus.VIOLATED,
-            f"intake clock times spread over {spread}, beyond {cfg.consistency_tolerance}",
+            f"intake {what} spread over {spread}, beyond {tolerance}",
         )
     return Verdict(
         VerdictStatus.SATISFIED,
-        f"intake clock times spread over {spread}, within {cfg.consistency_tolerance}",
+        f"intake {what} spread over {spread}, within {tolerance}",
     )
 
 

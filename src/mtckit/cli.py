@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, time, timedelta
+from datetime import time, timedelta
 from pathlib import Path
 
 from . import adherence, dataset, evaluation, grammar, normalize, rulebase
@@ -258,10 +258,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_when(value: str) -> datetime:
-    return datetime.fromisoformat(value.replace("Z", "+00:00"))
-
-
 def _tolerances(args, config: dict) -> adherence.ToleranceConfig:
     section = config.get("adherence", {})
 
@@ -299,8 +295,8 @@ def cmd_adhere(args) -> int:
     config = _read_config(args.config)
     mtc = grammar.parse_mtc(args.mtc)
     window = (
-        _parse_when(args.window_start) if args.window_start else None,
-        _parse_when(args.window_end) if args.window_end else None,
+        adherence.parse_timestamp(args.window_start) if args.window_start else None,
+        adherence.parse_timestamp(args.window_end) if args.window_end else None,
     )
     timeline = adherence.load_timeline(args.timeline, window)
     verdict = adherence.check(mtc, timeline, _tolerances(args, config))

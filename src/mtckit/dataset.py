@@ -74,6 +74,8 @@ def _dug_from_dict(record: dict) -> Dug:
         raise ValueError("'labels' must be an array of strings")
     labels = []
     for label in record["labels"]:
+        if not isinstance(label, str):
+            raise ValueError(f"gold label {label!r} is not a string")
         try:
             labels.append(parse_mtc(label))
         except grammar.NonvalidMtcError as exc:

@@ -11,9 +11,9 @@ comments) shipped with the package and overridable per call, so corpora with
 new activity vocabulary can extend them without code changes.
 
 Model answers repeat a narrow vocabulary, so :func:`normalize_raw_output`
-under the default alias table keeps the results of the last
-``NORMALIZE_CACHE_SIZE`` distinct raw strings in an LRU cache; the result
-type is frozen and holds only tuples, so callers share one value. Number
+and :func:`normalize_activity` under the default alias table each keep the
+results of the last ``NORMALIZE_CACHE_SIZE`` distinct strings in an LRU
+cache; the results are immutable, so callers share one value. Number
 words come from :data:`mtckit.grammar.NUMBER_WORDS`, and only ASCII digits
 count as a number.
 """
@@ -73,10 +73,6 @@ def _default_aliases() -> dict[str, str]:
     return default_activity_aliases()
 
 
-def _aliases(table: dict[str, str] | None) -> dict[str, str]:
-    return _default_aliases() if table is None else table
-
-
 def normalize_number(token: str) -> int:
     """Positive integer from an ASCII digit string or a number word one..twelve."""
     token = token.strip().lower()
@@ -93,9 +89,25 @@ def normalize_number(token: str) -> int:
 
 
 def normalize_activity(activity: str, aliases: dict[str, str] | None = None) -> str:
-    """Canonical activity phrase: alias table applied, else lowercased and collapsed."""
+    """Canonical activity phrase: alias table applied, else lowercased and collapsed.
+
+    With the default alias table (``aliases is None``) results are memoized
+    per string, so equal inputs share one result string; an explicit table
+    is applied uncached.
+    """
+    if aliases is None:
+        return _normalize_activity_memo(activity)
+    return _normalize_activity(activity, aliases)
+
+
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+def _normalize_activity_memo(activity: str) -> str:
+    return _normalize_activity(activity, _default_aliases())
+
+
+def _normalize_activity(activity: str, table: dict[str, str]) -> str:
     folded = " ".join(activity.lower().split())
-    return _aliases(aliases).get(folded, folded)
+    return table.get(folded, folded)
 
 
 @dataclass(frozen=True)

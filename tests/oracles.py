@@ -2,16 +2,20 @@
 
 Everything here recomputes results from first principles: explicit
 indicator matrices, direct pair enumeration, exact rational arithmetic via
-``fractions.Fraction``. No metric code is shared with the package; only the
-grammar is reused to canonicalize candidate strings, since the label
-mapping contract is defined in terms of it.
+``fractions.Fraction``, and adherence verdicts by scanning every event for
+every intake or period. No metric or verdict code is shared with the
+package; only the grammar is reused to canonicalize candidate strings,
+since the label mapping contract is defined in terms of it, and the
+uncached activity normalization to match activity names.
 """
 
 from __future__ import annotations
 
+from datetime import time, timedelta
 from fractions import Fraction
 
 from mtckit import grammar
+from mtckit.normalize import default_activity_aliases, normalize_activity
 
 UNDEFINED = "undefined"
 
@@ -195,3 +199,167 @@ def oracle_krippendorff(matrix: list[list[object]]) -> float:
     if expected == 0:
         return 1.0
     return float(1 - observed / expected)
+
+
+# ------------------------------------------------------------- adherence
+
+_UNIT_MINUTES = {
+    grammar.TimeUnit.MINUTE: 1,
+    grammar.TimeUnit.HOUR: 60,
+    grammar.TimeUnit.DAY: 1440,
+    grammar.TimeUnit.WEEK: 7 * 1440,
+}
+
+
+def _event_text(event) -> str:
+    return f"{event.kind} {event.name!r} at {event.timestamp.isoformat()}"
+
+
+def _clock_minutes(ts) -> int:
+    return ts.hour * 60 + ts.minute
+
+
+def _oracle_verdict(mtc, timeline, cfg) -> tuple[str, str]:
+    intakes = [e for e in timeline.events if e.kind == "intake"]
+    if not intakes:
+        return "indeterminate", "no intake events in window"
+
+    if isinstance(mtc, grammar.Frequency):
+        period = timedelta(minutes=_UNIT_MINUTES[mtc.unit])
+        start, end = timeline.window
+        checked = 0
+        while start + period <= end:
+            count = sum(1 for e in intakes if start <= e.timestamp < start + period)
+            if count != mtc.n:
+                return (
+                    "violated",
+                    f"period starting {start.isoformat()} has {count} intake(s), expected {mtc.n}",
+                )
+            checked += 1
+            start += period
+        if checked == 0:
+            return (
+                "indeterminate",
+                f"window shorter than one full {mtc.unit.value}; no complete period to count",
+            )
+        return (
+            "satisfied",
+            f"all {checked} complete {mtc.unit.value} period(s) have exactly {mtc.n} intake(s)",
+        )
+
+    if isinstance(mtc, grammar.Interval):
+        if mtc.ip is grammar.IntervalPrep.FOR:
+            return "indeterminate", "regimen duration ('for') is not derivable from an intake timeline"
+        if len(intakes) < 2:
+            return (
+                "indeterminate",
+                f"{len(intakes)} intake(s) in window; need at least two to measure gaps",
+            )
+        bound = timedelta(minutes=mtc.n * _UNIT_MINUTES[mtc.unit])
+        apart = mtc.ip is grammar.IntervalPrep.APART
+        for earlier, later in zip(intakes, intakes[1:]):
+            gap = later.timestamp - earlier.timestamp
+            if (gap < bound) if apart else (gap > bound):
+                verb = "is under" if apart else "exceeds"
+                return (
+                    "violated",
+                    f"gap of {gap} between {_event_text(earlier)} and {_event_text(later)} {verb} {bound}",
+                )
+        relation = "at least" if apart else "at most"
+        return "satisfied", f"all {len(intakes) - 1} consecutive gap(s) are {relation} {bound}"
+
+    if isinstance(mtc, (grammar.DefinitiveDependency, grammar.ImpreciseDependency)):
+        wanted = normalize_activity(mtc.activity, default_activity_aliases())
+        matching = [e for e in timeline.events if e.kind == "activity" and e.name == wanted]
+        if not matching:
+            return "indeterminate", f"no {mtc.activity!r} activity events observed in window"
+        before = mtc.dp is grammar.DependencyPrep.BEFORE
+        if isinstance(mtc, grammar.DefinitiveDependency):
+            offset = timedelta(minutes=mtc.n * _UNIT_MINUTES[mtc.unit])
+            tolerance = cfg.dependency_tolerance
+            for intake in intakes:
+                expected = intake.timestamp + offset if before else intake.timestamp - offset
+                if not any(abs(a.timestamp - expected) <= tolerance for a in matching):
+                    return (
+                        "violated",
+                        f"{_event_text(intake)} has no {mtc.activity!r} event near "
+                        f"{expected.isoformat()} (tolerance {tolerance})",
+                    )
+            return "satisfied", f"every intake has a {mtc.activity!r} event at the expected offset"
+        horizon = cfg.imprecision_horizon
+        for intake in intakes:
+            ts = intake.timestamp
+            if before:
+                ok = any(ts < a.timestamp <= ts + horizon for a in matching)
+            else:
+                ok = any(ts - horizon <= a.timestamp < ts for a in matching)
+            if not ok:
+                side = "after" if before else "before"
+                return (
+                    "violated",
+                    f"{_event_text(intake)} has no {mtc.activity!r} event within {horizon} {side} it",
+                )
+        return "satisfied", f"every intake is {mtc.dp.value} a {mtc.activity!r} event within {horizon}"
+
+    if isinstance(mtc, grammar.TimeDependency):
+        bound = mtc.time.minutes_into_day()
+        for intake in intakes:
+            minutes = _clock_minutes(intake.timestamp)
+            if not (minutes < bound if mtc.dp is grammar.DependencyPrep.BEFORE else minutes > bound):
+                return "violated", f"{_event_text(intake)} is not strictly {mtc.dp.value} {mtc.time}"
+        return "satisfied", f"all {len(intakes)} intake(s) are strictly {mtc.dp.value} {mtc.time}"
+
+    if isinstance(mtc, grammar.Consistency):
+        tolerance = cfg.consistency_tolerance
+        if isinstance(mtc.time, grammar.ClockTime):
+            anchor = mtc.time.minutes_into_day()
+            for intake in intakes:
+                # distance to the nearest occurrence of the anchor on any day
+                minutes = _clock_minutes(intake.timestamp)
+                distance = timedelta(
+                    minutes=min(abs(minutes - anchor + day) for day in (-1440, 0, 1440))
+                )
+                if distance > tolerance:
+                    return (
+                        "violated",
+                        f"{_event_text(intake)} is {distance} from {mtc.time}, beyond {tolerance}",
+                    )
+            return "satisfied", f"all {len(intakes)} intake(s) are within {tolerance} of {mtc.time}"
+        weekly = mtc.unit is grammar.TimeUnit.WEEK
+        what = "weekday and clock times" if weekly else "clock times"
+        positions = [
+            _clock_minutes(e.timestamp) + (e.timestamp.weekday() * 1440 if weekly else 0)
+            for e in intakes
+        ]
+        spread = timedelta(minutes=max(abs(a - b) for a in positions for b in positions))
+        within = "beyond" if spread > tolerance else "within"
+        return (
+            "violated" if spread > tolerance else "satisfied",
+            f"intake {what} spread over {spread}, {within} {tolerance}",
+        )
+
+    window = cfg.day_part_windows.get(mtc.day_part)
+    if window is None:
+        return "indeterminate", f"no configured clock window for {mtc.day_part.value!r}"
+    start, end = window
+    for intake in intakes:
+        if not start <= time(intake.timestamp.hour, intake.timestamp.minute) < end:
+            return (
+                "violated",
+                f"{_event_text(intake)} falls outside the {mtc.day_part.value} window "
+                f"[{start.isoformat('minutes')}, {end.isoformat('minutes')})",
+            )
+    return "satisfied", f"all {len(intakes)} intake(s) fall in the {mtc.day_part.value} window"
+
+
+def oracle_check(mtc, timeline, cfg) -> tuple[str, str]:
+    """(status, explanation) of one adherence check, by exhaustive scans.
+
+    Every period counts every intake and every intake tries every matching
+    activity; a negated constraint swaps satisfied and violated.
+    """
+    status, explanation = _oracle_verdict(mtc, timeline, cfg)
+    if mtc.negated and status != "indeterminate":
+        flipped = "violated" if status == "satisfied" else "satisfied"
+        return flipped, f"negated {grammar.serialize(mtc)!r}: {explanation}"
+    return status, explanation

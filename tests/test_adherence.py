@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mtckit import grammar
 from mtckit.adherence import (
     Timeline,
     TimelineEvent,
@@ -19,6 +23,7 @@ from mtckit.adherence import (
 from mtckit.grammar import parse_mtc, with_negated
 
 from conftest import BASE_TS, random_mtc, random_timeline
+from oracles import oracle_check
 
 UTC = timezone.utc
 DAY0 = datetime(2026, 3, 2, tzinfo=UTC)
@@ -150,6 +155,20 @@ def test_imprecise_dependency_directions():
     assert check(after_eating, none_seen).status is VerdictStatus.INDETERMINATE
 
 
+def test_dependency_window_edges():
+    def status(text, *events):
+        return check(parse_mtc(text), timeline([intake(0, 8), *events], start=ts(0, 0), end=ts(1, 0))).status
+
+    S, V = VerdictStatus.SATISFIED, VerdictStatus.VIOLATED
+    assert status("30 minute before eating", activity("eating", 0, 8, 40)) is S  # tolerance is inclusive
+    assert status("30 minute before eating", activity("eating", 0, 8, 20)) is S
+    assert status("30 minute before eating", activity("eating", 0, 8, 41)) is V
+    assert status("before sleep", activity("sleep", 0, 10)) is S  # horizon end is inclusive
+    assert status("before sleep", activity("sleep", 0, 8), activity("sleep", 0, 10, 1)) is V
+    assert status("after eating", activity("eating", 0, 6)) is S  # horizon start is inclusive
+    assert status("after eating", activity("eating", 0, 8), activity("eating", 0, 5, 59)) is V
+
+
 def test_time_dependency_strict():
     mtc = parse_mtc("before 9 am")
     early = timeline([intake(0, 8, 59)], start=ts(0, 0), end=ts(1, 0))
@@ -161,6 +180,36 @@ def test_time_dependency_strict():
 def test_consistency_single_intake_is_trivially_consistent():
     line = timeline([intake(0, 8)], start=ts(0, 0), end=ts(1, 0))
     assert check(parse_mtc("at the same time each day"), line).status is VerdictStatus.SATISFIED
+
+
+def test_consistency_clock_anchor_is_checked():
+    line = timeline([intake(day, 15) for day in range(3)], start=ts(0, 0), end=ts(3, 0))
+    verdict = check(parse_mtc("at 9 am each day"), line)
+    assert verdict.status is VerdictStatus.VIOLATED
+    assert verdict.explanation.startswith(f"intake 'medication' at {ts(0, 15).isoformat()}")
+    assert check(parse_mtc("at 3 pm each day"), line).status is VerdictStatus.SATISFIED
+
+
+def test_consistency_each_week_compares_weekdays():
+    # one intake a week at 9 am, on a different weekday each week
+    events = [intake(0, 9), intake(9, 9, 10), intake(18, 8, 50)]
+    line = timeline(events, start=ts(0, 0), end=ts(21, 0))
+    assert check(parse_mtc("at the same time each week"), line).status is VerdictStatus.VIOLATED
+    assert check(parse_mtc("at the same time each day"), line).status is VerdictStatus.SATISFIED
+    assert check(parse_mtc("at 9 am each week"), line).status is VerdictStatus.SATISFIED
+    same_day = timeline([intake(0, 9), intake(7, 9, 20)], start=ts(0, 0), end=ts(14, 0))
+    assert check(parse_mtc("at the same time each week"), same_day).status is VerdictStatus.SATISFIED
+
+
+def test_consistency_anchor_wraps_around_midnight():
+    line = timeline([intake(day, 0, 10) for day in range(3)], start=ts(0, 0), end=ts(3, 0))
+    assert check(parse_mtc("at 11.50 pm each day"), line).status is VerdictStatus.SATISFIED
+    edge = ToleranceConfig(consistency_tolerance=timedelta(minutes=20))
+    assert check(parse_mtc("at 11.50 pm each day"), line, edge).status is VerdictStatus.SATISFIED
+    tight = ToleranceConfig(consistency_tolerance=timedelta(minutes=19))
+    verdict = check(parse_mtc("at 11.50 pm each day"), line, tight)
+    assert verdict.status is VerdictStatus.VIOLATED
+    assert "0:20:00 from 11.50 pm" in verdict.explanation
 
 
 def test_time_of_day_windows():
@@ -219,6 +268,123 @@ def test_determinism():
     assert check(mtc, line) == check(mtc, line)
 
 
+ZONES = (
+    UTC,
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=-8)),
+    timezone(timedelta(hours=14)),
+)
+ALIASES = {"eating": ("eating", "meal"), "sleep": ("sleep", "bedtime"), "exercise": ("exercise",)}
+
+_units = st.sampled_from(list(grammar.TimeUnit))
+_dps = st.sampled_from(list(grammar.DependencyPrep))
+_ops = st.sampled_from(list(grammar.OccurrencePrep))
+_activities = st.sampled_from(sorted(ALIASES))
+_clocks = st.builds(
+    grammar.ClockTime, st.integers(1, 12), st.sampled_from((0, 10, 50)), st.sampled_from(("am", "pm"))
+)
+_offsets = st.sampled_from(
+    ((10, grammar.TimeUnit.MINUTE), (30, grammar.TimeUnit.MINUTE), (1, grammar.TimeUnit.HOUR),
+     (2, grammar.TimeUnit.HOUR), (1, grammar.TimeUnit.DAY))
+)
+_mtcs = st.one_of(
+    st.builds(lambda nu, dp, a: grammar.DefinitiveDependency(*nu, dp, a), _offsets, _dps, _activities),
+    st.builds(grammar.Frequency, st.integers(1, 4),
+              st.sampled_from((grammar.TimeUnit.HOUR, grammar.TimeUnit.DAY, grammar.TimeUnit.WEEK))),
+    st.builds(grammar.Interval, st.integers(1, 12), _units, st.sampled_from(list(grammar.IntervalPrep))),
+    st.builds(grammar.ImpreciseDependency, _dps, _activities),
+    st.builds(grammar.TimeDependency, _dps, _clocks),
+    st.builds(grammar.Consistency, _ops, st.one_of(st.just(grammar.SAME_TIME), _clocks), _units),
+    st.builds(grammar.TimeOfDay, _ops, st.sampled_from(list(grammar.DayPart))),
+).flatmap(lambda mtc: st.booleans().map(lambda negated: with_negated(mtc, negated)))
+_configs = st.builds(
+    ToleranceConfig,
+    dependency_tolerance=st.sampled_from((0, 10, 20)).map(lambda m: timedelta(minutes=m)),
+    imprecision_horizon=st.sampled_from((0, 60, 120)).map(lambda m: timedelta(minutes=m)),
+    consistency_tolerance=st.sampled_from((0, 60, 180)).map(lambda m: timedelta(minutes=m)),
+)
+_MINUTES = {grammar.TimeUnit.MINUTE: 1, grammar.TimeUnit.HOUR: 60, grammar.TimeUnit.DAY: 1440}
+
+
+def _edges(mtc, cfg) -> list[int]:
+    """Minutes from an intake at which a matching activity decides a dependency."""
+    if isinstance(mtc, grammar.DefinitiveDependency):
+        sign = 1 if mtc.dp is grammar.DependencyPrep.BEFORE else -1
+        tolerance = cfg.dependency_tolerance // timedelta(minutes=1)
+        return [sign * mtc.n * _MINUTES[mtc.unit] + t for t in (-tolerance, 0, tolerance)]
+    if isinstance(mtc, grammar.ImpreciseDependency):
+        sign = 1 if mtc.dp is grammar.DependencyPrep.BEFORE else -1
+        return [0, sign * (cfg.imprecision_horizon // timedelta(minutes=1))]
+    return [0]
+
+
+@st.composite
+def cases(draw):
+    """(constraint, timeline, tolerances) with timestamps that collide and sit
+    on the tolerance, horizon and period edges the verdict turns on.
+
+    Intakes lie on a 10-minute, hourly or half-day grid from the window start,
+    sometimes as a regular schedule; most intakes get an activity a minute
+    either side of, or exactly on, an edge of the constraint. Events carry
+    mixed UTC offsets, and half the timelines are built directly, unsorted
+    and unclipped."""
+    mtc, cfg = draw(_mtcs), draw(_configs)
+    step = draw(st.sampled_from((10, 60, 720)))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, 3))
+        slots = list(range(first, first + draw(st.integers(0, 8))))
+    else:
+        slots = draw(st.lists(st.integers(0, 72), max_size=8))
+    names = ALIASES[getattr(mtc, "activity", "eating")]
+    placed = [("intake", "medication", step * slot) for slot in slots]
+    for slot in slots:
+        if draw(st.integers(0, 4)):
+            edge = draw(st.sampled_from(_edges(mtc, cfg))) + draw(st.sampled_from((-1, 0, 0, 1)))
+            placed.append(("activity", draw(st.sampled_from(names)), step * slot + edge))
+    for _ in range(draw(st.integers(0, 2))):
+        placed.append(("activity", "exercise", 10 * draw(st.integers(0, 432))))
+    events = [
+        TimelineEvent(kind, name, (DAY0 + timedelta(minutes=minute)).astimezone(draw(st.sampled_from(ZONES))))
+        for kind, name, minute in draw(st.permutations(placed))
+    ]
+    window = (DAY0, DAY0 + timedelta(minutes=step * draw(st.integers(0, 72))))
+    if draw(st.booleans()):
+        return mtc, Timeline(tuple(events), window), cfg
+    return mtc, Timeline.build(events, window), cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(cases())
+def test_check_equals_exhaustive_oracle(case):
+    mtc, line, cfg = case
+    verdict = check(mtc, line, cfg)
+    assert (verdict.status.value, verdict.explanation) == oracle_check(mtc, line, cfg)
+
+
+@pytest.fixture(scope="module")
+def year_long_hourly():
+    """Intakes every hour for a year, each 30 minutes after sleep and 30 before eating."""
+    events = []
+    for hour in range(365 * 24):
+        events.append(intake(0, hour, 40))
+        events.append(activity("sleep", 0, hour, 10))
+        events.append(activity("eating", 0, hour + 1, 10))
+    return timeline(events, start=ts(0, 0), end=ts(365, 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["30 minute before eating", "30 minute after sleep", "24 times day", "1 hour apart",
+     "before eating", "after sleep"],
+)
+def test_year_long_hourly_timeline_is_fast(year_long_hourly, text):
+    began = time.perf_counter()
+    verdict = check(parse_mtc(text), year_long_hourly)
+    elapsed = time.perf_counter() - began
+    assert verdict.status is VerdictStatus.SATISFIED, verdict.explanation
+    assert elapsed <= 1.0, f"{text!r} took {elapsed:.2f} s on a year-long hourly timeline"
+
+
 def test_explanations_are_nonempty():
     rng = random.Random(7)
     for _ in range(100):
@@ -234,6 +400,23 @@ def test_event_validation_and_name_normalization():
     assert event.name == "sleep"
     with pytest.raises(ValueError):
         TimelineEvent("nap", "sleep", ts(0, 22))
+    for name in (5, ["sleep"], None):
+        with pytest.raises(ValueError, match="name must be a string"):
+            TimelineEvent("activity", name, ts(0, 22))
+
+
+def test_event_is_slotted_and_keeps_value_semantics():
+    event = TimelineEvent("activity", "Meal", ts(0, 12))
+    assert not hasattr(event, "__dict__")
+    same = TimelineEvent("activity", "eating", ts(0, 12))
+    assert event == same and hash(event) == hash(same)
+    first = TimelineEvent("activity", "Garden  Walk", ts(1, 12))
+    again = TimelineEvent("activity", "".join(["Garden ", " Walk"]), ts(2, 12))
+    assert again.name == "garden walk" and again.name is first.name  # one shared string
+    assert event != TimelineEvent("activity", "eating", ts(0, 13))
+    assert pickle.loads(pickle.dumps(event)) == event
+    with pytest.raises(AttributeError):
+        event.name = "sleep"
 
 
 def test_timeline_clips_and_sorts():
@@ -268,6 +451,25 @@ def test_load_timeline_requires_timezone(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="timezone"):
+        load_timeline(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('["x"]', "must be a JSON object"),
+        ('{"kind": "intake", "name": "m", "timestamp": 5}', "ISO-8601 string"),
+        ('{"kind": 5, "name": "m", "timestamp": "2026-03-02T08:00:00Z"}', "kind must be"),
+        ('{"kind": ["intake"], "name": "m", "timestamp": "2026-03-02T08:00:00Z"}', "kind must be"),
+        ('{"kind": "intake", "name": 7, "timestamp": "2026-03-02T08:00:00Z"}', "name must be a string"),
+        ('{"kind": "intake", "name": ["m"], "timestamp": "2026-03-02T08:00:00Z"}', "name must be a string"),
+    ],
+)
+def test_load_timeline_rejects_malformed_records(tmp_path, line, message):
+    path = tmp_path / "events.jsonl"
+    good = json.dumps({"kind": "intake", "name": "m", "timestamp": "2026-03-02T07:00:00Z"})
+    path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path}:2: bad timeline record: .*{message}"):
         load_timeline(path)
 
 

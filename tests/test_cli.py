@@ -210,6 +210,36 @@ def test_adhere(tmp_path, capsys):
     assert verdict["mtc"] == "2 times day"
 
 
+@pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+def test_adhere_window_without_timezone_exits_one(tmp_path, capsys, flag):
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        json.dumps({"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00+00:00"}),
+        encoding="utf-8",
+    )
+    argv = ["adhere", "--mtc", "2 times day", "--timeline", str(events), flag, "2026-03-02T00:00:00"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "has no timezone" in err and "Traceback" not in err
+
+
+def test_adhere_malformed_timeline_exits_one(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"kind": "intake", "name": "m", "timestamp": 5}\n', encoding="utf-8")
+    code, _, err = run(capsys, ["adhere", "--mtc", "2 times day", "--timeline", str(events)])
+    assert code == 1
+    assert f"{events}:1: bad timeline record" in err
+
+
+def test_dataset_stats_non_string_label_exits_one(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    record = {"id": "a", "source": "fda", "text": "Take it.", "labels": [5]}
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, ["dataset-stats", "--file", str(corpus)])
+    assert code == 1
+    assert "line 1: gold label 5 is not a string" in err and "Traceback" not in err
+
+
 def test_adhere_tolerance_flag(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     rows = [

@@ -221,9 +221,36 @@ def test_explicit_alias_table_is_applied_despite_a_warm_cache():
     assert candidates("before bedtime") == ("before sleep",)
 
 
+_activity_phrases = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.lists(
+        st.sampled_from(["Meals", "bedtime", "EATING", "sleeping", "food", "exercise", "  ", "\t"]),
+        max_size=4,
+    ).map(" ".join),
+)
+
+
+@given(_activity_phrases)
+def test_memoized_activity_equals_uncached(phrase):
+    expected = normalize._normalize_activity(phrase, default_activity_aliases())
+    assert normalize_activity(phrase) == expected  # cold or warm
+    assert normalize_activity(phrase) is normalize_activity(phrase)  # one shared string
+    assert normalize_activity(phrase, default_activity_aliases()) == expected
+
+
+@given(_activity_phrases)
+def test_activity_with_explicit_table_runs_uncached(phrase):
+    table = {"sleeping": "nap"}
+    before = normalize._normalize_activity_memo.cache_info()
+    assert normalize_activity(phrase, table) == normalize._normalize_activity(phrase, table)
+    after = normalize._normalize_activity_memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_normalize_cache_is_bounded():
     assert NORMALIZE_CACHE_SIZE == 1024
     assert normalize._normalize_memo.cache_info().maxsize == NORMALIZE_CACHE_SIZE
+    assert normalize._normalize_activity_memo.cache_info().maxsize == NORMALIZE_CACHE_SIZE
 
 
 def test_number_words_come_from_the_grammar():
