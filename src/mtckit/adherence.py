@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
+from datetime import datetime, time, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -100,6 +100,10 @@ class TimelineEvent:
             raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
         if not isinstance(self.name, str):
             raise ValueError(f"event name must be a string, got {self.name!r}")
+        ts = self.timestamp
+        # A fixed-offset ``timezone`` always has an offset; the utcoffset() call costs more.
+        if not isinstance(ts, datetime) or type(ts.tzinfo) is not timezone and ts.utcoffset() is None:
+            raise ValueError(f"event timestamp must be a datetime with a timezone, got {ts!r}")
         object.__setattr__(self, "name", normalize_activity(self.name))
 
     def minutes_into_day(self) -> int:

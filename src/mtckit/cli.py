@@ -4,8 +4,13 @@ One subcommand per pipeline stage: ``parse``, ``validate``, ``normalize``,
 ``dataset-stats``, ``extract-ehr``, ``rules-classify``, ``fewshot-select``,
 ``extract``, ``eval``, ``adhere``. Every subcommand supports
 ``--format json-lines`` for machine-readable, byte-stable output; progress
-and notes go to standard error only. Exit status is 0 on success, 1 on an
-operational error, 2 on a usage error.
+and notes go to standard error only. ``extract`` and ``adhere`` also take
+``--config``, a JSON file whose ``http``, ``decoding`` and ``adherence``
+sections (:data:`CONFIG_KEYS`) set defaults that flags of the same name
+override; :func:`load_config` rejects an unknown key, a wrong type or an
+out-of-range value. Exit status is 0 on success, 1 on an operational error
+(bad input is reported as ``error: <where>: <reason>``, never a traceback),
+2 on a usage error.
 """
 
 from __future__ import annotations
@@ -37,23 +42,75 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _read_config(path: str | None) -> dict:
-    if not path:
+#: Every ``--config`` key by section, with the type its value is read as:
+#: ``timedelta`` from minutes, ``tuple`` from a local ``["HH:MM", "HH:MM"]`` window.
+CONFIG_KEYS = {
+    "http": {"base_url": str, "model": str, "use_messages": bool, "timeout": float, "max_attempts": int,
+             "backoff": float},
+    "decoding": {"temperature": float, "max_tokens": int},
+    "adherence": {"dependency_tolerance_min": timedelta, "imprecision_horizon_min": timedelta,
+                  "consistency_tolerance_min": timedelta,
+                  "day_part_windows": dict.fromkeys(grammar.DayPart, tuple)},
+}
+_KIND_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+               timedelta: "a number of minutes"}
+#: Counts start at 1 and other numbers at 0, and all are finite; a tolerance
+#: beyond a year means nothing and could overflow timestamp arithmetic.
+_RANGES = {int: (1, sys.float_info.max), float: (0, sys.float_info.max), timedelta: (0, 365 * 24 * 60)}
+
+
+def load_config(path: str | None) -> dict[str, dict]:
+    """The sections a ``--config`` JSON file sets, holding the keys it sets read as
+    :data:`CONFIG_KEYS` says. Raises ``ValueError("<path>: <section>.<key>: <reason>")``
+    for an unknown key, a wrong type or an out-of-range value, and for malformed JSON.
+    """
+    if path is None:
         return {}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return config
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    return _checked(raw, CONFIG_KEYS, path, sep=": ")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("text", "json-lines"),
-        default="text",
-        help="output format (json-lines is machine-readable and byte-stable)",
-    )
-    sub.add_argument("--config", help="JSON config file for defaults")
+def _checked(value, kind, where: str, sep: str = "."):
+    """``value`` read as ``kind``: a type, or a dict of the kinds of an object's
+    keys (an enum key is written as its value). A bool is not a number, and
+    1.7 is not an integer. Errors start with ``where``."""
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ValueError(f"{where}: expected an object, got {json.dumps(value)}")
+        names = {getattr(key, "value", key): key for key in kind}
+        checked = {}
+        for name, item in value.items():
+            if name not in names:
+                raise ValueError(f"{where}{sep}{name}: unknown key; expected one of {', '.join(names)}")
+            checked[names[name]] = _checked(item, kind[names[name]], f"{where}{sep}{name}")
+        return checked
+    if kind is tuple:
+        try:
+            start, end = (time.fromisoformat(clock) for clock in value)
+            if type(value) is list and start.tzinfo is end.tzinfo is None:
+                return start, end
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f'{where}: expected ["HH:MM", "HH:MM"] in local time, got {json.dumps(value)}')
+    if type(value) not in ((int, float) if kind in (float, timedelta) else (kind,)):
+        raise ValueError(f"{where}: expected {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    if kind in _RANGES:
+        low, high = _RANGES[kind]
+        if not low <= value <= high:
+            raise ValueError(f"{where}: {json.dumps(value)} is not within {low}..{high:g}")
+    return timedelta(minutes=value) if kind is timedelta else float(value) if kind is float else value
+
+
+def _settings(args, config: dict, section: str) -> dict:
+    """A config section with each flag of the same name that was given laid over it."""
+    settings = dict(config.get(section, {}))
+    for key, kind in CONFIG_KEYS[section].items():
+        if getattr(args, key, None) is not None:
+            settings[key] = _checked(getattr(args, key), kind, "--" + key.replace("_", "-"))
+    return settings
 
 
 def cmd_parse(args) -> int:
@@ -178,22 +235,14 @@ def _build_client(args, config: dict):
         if not args.fixtures:
             raise ValueError("--client replay requires --fixtures DIR")
         return ReplayClient(args.fixtures)
-    http_config = config.get("http", {})
-    base_url = args.base_url or http_config.get("base_url")
-    if not base_url:
+    http = _settings(args, config, "http")
+    if not http.get("base_url"):
         raise ValueError("--client http requires --base-url (or http.base_url in --config)")
-    return HttpCompletionClient(
-        base_url,
-        model=args.model or http_config.get("model", ""),
-        use_messages=args.use_messages or bool(http_config.get("use_messages")),
-        timeout=float(http_config.get("timeout", 60.0)),
-        max_attempts=int(http_config.get("max_attempts", 3)),
-        backoff=float(http_config.get("backoff", 1.0)),
-    )
+    return HttpCompletionClient(http.pop("base_url"), http.pop("model", ""), **http)
 
 
 def cmd_extract(args) -> int:
-    config = _read_config(args.config)
+    config = load_config(args.config)
     dugs = dataset.load_dugs(args.file)
     fewshot = fewshot_from_dugs(dataset.load_dugs(args.fewshot))
     kept = exclude_fewshot(dugs, fewshot)
@@ -205,15 +254,8 @@ def cmd_extract(args) -> int:
     else:
         strategy = PromptStrategy(args.strategy)
     client = _build_client(args, config)
-    decoding = config.get("decoding", {})
     records = iter_extract_corpus(
-        kept,
-        strategy,
-        fewshot,
-        client,
-        parallelism=args.parallelism,
-        temperature=args.temperature if args.temperature is not None else float(decoding.get("temperature", 0.0)),
-        max_tokens=args.max_tokens if args.max_tokens is not None else int(decoding.get("max_tokens", 256)),
+        kept, strategy, fewshot, client, parallelism=args.parallelism, **_settings(args, config, "decoding")
     )
     out_fp = open(args.out, "w", encoding="utf-8") if args.out else None
     failures = 0
@@ -241,9 +283,12 @@ def cmd_eval(args) -> int:
     ):
         if not line.strip():
             continue
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError(f"{args.pred}:{lineno}: prediction record must be a JSON object")
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or record.get("dug_id") is None:
+                raise ValueError("prediction record must be a JSON object with a dug_id")
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{args.pred}:{lineno}: {exc}") from None
         records.append(record)
     report = evaluation.evaluate(gold, records)
     if args.out:
@@ -259,40 +304,12 @@ def cmd_eval(args) -> int:
 
 
 def _tolerances(args, config: dict) -> adherence.ToleranceConfig:
-    section = config.get("adherence", {})
-
-    def minutes(flag_value, key, default_td):
-        if flag_value is not None:
-            return timedelta(minutes=flag_value)
-        if key in section:
-            return timedelta(minutes=float(section[key]))
-        return default_td
-
-    day_parts = adherence.DEFAULT_TOLERANCES.day_part_windows
-    if "day_part_windows" in section:
-        day_parts = {
-            grammar.DayPart(name): (time.fromisoformat(lo), time.fromisoformat(hi))
-            for name, (lo, hi) in section["day_part_windows"].items()
-        }
-    return adherence.ToleranceConfig(
-        dependency_tolerance=minutes(
-            args.dependency_tolerance_min, "dependency_tolerance_min",
-            adherence.DEFAULT_TOLERANCES.dependency_tolerance,
-        ),
-        imprecision_horizon=minutes(
-            args.imprecision_horizon_min, "imprecision_horizon_min",
-            adherence.DEFAULT_TOLERANCES.imprecision_horizon,
-        ),
-        consistency_tolerance=minutes(
-            args.consistency_tolerance_min, "consistency_tolerance_min",
-            adherence.DEFAULT_TOLERANCES.consistency_tolerance,
-        ),
-        day_part_windows=day_parts,
-    )
+    settings = _settings(args, config, "adherence")
+    return adherence.ToleranceConfig(**{key.removesuffix("_min"): value for key, value in settings.items()})
 
 
 def cmd_adhere(args) -> int:
-    config = _read_config(args.config)
+    config = load_config(args.config)
     mtc = grammar.parse_mtc(args.mtc)
     window = (
         adherence.parse_timestamp(args.window_start) if args.window_start else None,
@@ -321,26 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("parse", help="parse one constraint string")
     p.add_argument("text")
-    _add_common(p)
     p.set_defaults(func=cmd_parse)
 
     p = subs.add_parser("validate", help="grammar validity of candidate strings")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="file with one candidate per line")
     group.add_argument("--text", help="a single candidate string")
-    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("normalize", help="post-process raw completion output")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="file with one raw output per line")
     group.add_argument("--text", help="a single raw output")
-    _add_common(p)
     p.set_defaults(func=cmd_normalize)
 
     p = subs.add_parser("dataset-stats", help="corpus counts and type distribution")
     p.add_argument("--file", required=True, help="corpus file (JSON lines)")
-    _add_common(p)
     p.set_defaults(func=cmd_dataset_stats)
 
     p = subs.add_parser("extract-ehr", help="mine labeled statements from a medical report")
@@ -348,14 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-tokens", type=int, default=4)
     p.add_argument("--max-tokens", type=int, default=60)
     p.add_argument("--out", help="also write the statements as a corpus file")
-    _add_common(p)
     p.set_defaults(func=cmd_extract_ehr)
 
     p = subs.add_parser("rules-classify", help="phrase-pattern constraint-type baseline")
     p.add_argument("--file", required=True, help="corpus file (JSON lines)")
     p.add_argument("--rules", help="rule table (type<TAB>pattern); default: bundled table")
     p.add_argument("--eval", action="store_true", help="also score against gold labels")
-    _add_common(p)
     p.set_defaults(func=cmd_rules_classify)
 
     p = subs.add_parser("fewshot-select", help="pick the stratified few-shot examples")
@@ -363,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the selection to a file")
-    _add_common(p)
     p.set_defaults(func=cmd_fewshot_select)
 
     p = subs.add_parser("extract", help="run a prompting strategy over a corpus")
@@ -374,21 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client", choices=("http", "replay"), default="replay")
     p.add_argument("--fixtures", help="replay fixtures directory")
     p.add_argument("--base-url", help="completion service URL (http client)")
-    p.add_argument("--model", default="", help="model name sent to the service")
-    p.add_argument("--use-messages", action="store_true", help="send messages instead of prompt")
+    p.add_argument("--model", help="model name sent to the service")
+    p.add_argument("--use-messages", action="store_true", default=None, help="send messages, not a prompt")
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="run seed (recorded; decoding is greedy)")
     p.add_argument("--out", help="also write records to a file")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file (http, decoding sections)")
     p.set_defaults(func=cmd_extract)
 
     p = subs.add_parser("eval", help="score extraction records against gold")
     p.add_argument("--gold", required=True, help="gold corpus file (JSON lines)")
     p.add_argument("--pred", required=True, help="extraction records file (JSON lines)")
     p.add_argument("--out", help="write the machine-readable report to a file")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("adhere", help="check one constraint against an event timeline")
@@ -399,9 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dependency-tolerance-min", type=float, default=None)
     p.add_argument("--imprecision-horizon-min", type=float, default=None)
     p.add_argument("--consistency-tolerance-min", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file (adherence section)")
     p.set_defaults(func=cmd_adhere)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--format", choices=("text", "json-lines"), default="text",
+                         help="output format (json-lines is machine-readable and byte-stable)")
     return parser
 
 

@@ -111,8 +111,8 @@ def extract(
         request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens, model=model)
         try:
             response = client.complete(request)
-        except ServiceError as exc:
-            error = str(exc)
+        except Exception as exc:  # any client failure marks the record failed
+            error = str(exc) if isinstance(exc, ServiceError) else f"{type(exc).__name__}: {exc}"
             break
         raw_outputs.append(RawCall(response.text, probe))
 

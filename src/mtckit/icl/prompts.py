@@ -28,12 +28,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .. import grammar
 from ..dataset import Dug
 from ..normalize import default_activity_aliases
+from ..tables import DATA, read_table
 from .fewshot import FewShotSet, gold_answer
 
 #: Constraint types probed by the specialized strategy. Type 5 is excluded
@@ -131,9 +131,7 @@ def default_template(strategy_kind: str) -> PromptTemplate:
 
 @functools.cache
 def _packaged_template(strategy_kind: str) -> PromptTemplate:
-    ref = resources.files("mtckit.data.prompts").joinpath(f"{strategy_kind}.txt")
-    with resources.as_file(ref) as path:
-        return load_template(path, strategy_kind)
+    return load_template(DATA / "prompts" / f"{strategy_kind}.txt", strategy_kind)
 
 
 @dataclass(frozen=True)
@@ -150,15 +148,8 @@ def type_guides() -> dict[int, TypeGuide]:
 
 @functools.cache
 def _type_guide_table() -> dict[int, TypeGuide]:
-    ref = resources.files("mtckit.data.prompts").joinpath("type_guides.tsv")
-    guides: dict[int, TypeGuide] = {}
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        t, name, description, heuristic = stripped.split("\t")
-        guides[int(t)] = TypeGuide(name, description, heuristic)
-    return guides
+    path, layout = DATA / "prompts" / "type_guides.tsv", "type<TAB>name<TAB>description<TAB>heuristic"
+    return dict(read_table(path, layout, lambda t, *guide: (int(t), TypeGuide(*guide))))
 
 
 def _terminals_block() -> str:

@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .grammar import NUMBER_WORDS
+from .tables import DATA, read_table
 
 
 class NotANumberError(ValueError):
@@ -48,29 +48,18 @@ _QUOTE_PAIRS = [('"', '"'), ("'", "'"), ("`", "`")]
 
 def load_alias_table(path: str | Path) -> dict[str, str]:
     """Read an ``alias<TAB>canonical`` table (UTF-8, ``#`` comments)."""
-    table: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ValueError(f"{path}:{lineno}: expected 'alias<TAB>canonical', got {line!r}")
-        table[" ".join(parts[0].lower().split())] = " ".join(parts[1].lower().split())
-    return table
+    rows = read_table(path, "alias<TAB>canonical", lambda alias, canonical: (alias, canonical))
+    return {" ".join(alias.lower().split()): " ".join(canonical.lower().split()) for alias, canonical in rows}
 
 
 def default_activity_aliases() -> dict[str, str]:
-    """Alias table shipped with the package."""
-    ref = resources.files("mtckit.data").joinpath("activity_aliases.txt")
-    with resources.as_file(ref) as path:
-        return load_alias_table(path)
+    """Alias table shipped with the package (a copy; the file is read once)."""
+    return dict(_default_aliases())
 
 
 @functools.cache
 def _default_aliases() -> dict[str, str]:
-    return default_activity_aliases()
+    return load_alias_table(DATA / "activity_aliases.txt")
 
 
 def normalize_number(token: str) -> int:

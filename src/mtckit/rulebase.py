@@ -11,15 +11,16 @@ with two placeholders: ``{num}`` matches an integer and ``{clock}`` a
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dataset import Dug
 from .evaluation import MismatchedIdsError, _mean, _prf
 from .grammar import NUMBER_WORDS, mtc_type
+from .tables import DATA, read_table
 
 _NUM_RE = r"(?:\d+|" + "|".join(NUMBER_WORDS) + ")"
 _CLOCK_RE = r"\d{1,2}(?:[.:]\d{2})?\s*(?:a\.?m\.?|p\.?m\.?)"
@@ -55,29 +56,17 @@ class TypeRule:
 
 def load_type_rules(path: str | Path) -> list[TypeRule]:
     """Read a ``type<TAB>pattern`` rule table (UTF-8, ``#`` comments)."""
-    rules: list[TypeRule] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t", 1)
-        if len(parts) != 2 or not parts[0].strip().isdigit():
-            raise ValueError(f"{path}:{lineno}: expected 'type<TAB>pattern', got {line!r}")
-        rules.append(TypeRule(int(parts[0]), parts[1].strip()))
-    return rules
-
-
-_DEFAULT_RULES: list[TypeRule] | None = None
+    return read_table(path, "type<TAB>pattern", lambda t, pattern: TypeRule(int(t), pattern))
 
 
 def default_type_rules() -> list[TypeRule]:
-    """Rule table shipped with the package."""
-    global _DEFAULT_RULES
-    if _DEFAULT_RULES is None:
-        ref = resources.files("mtckit.data").joinpath("type_rules.tsv")
-        with resources.as_file(ref) as path:
-            _DEFAULT_RULES = load_type_rules(path)
-    return list(_DEFAULT_RULES)
+    """Rule table shipped with the package (a copy; the file is read once)."""
+    return list(_default_rules())
+
+
+@functools.cache
+def _default_rules() -> list[TypeRule]:
+    return load_type_rules(DATA / "type_rules.tsv")
 
 
 def classify_types(text: str, rules: Sequence[TypeRule] | None = None) -> frozenset[int]:

@@ -6,7 +6,7 @@ import json
 import pickle
 import random
 import time
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +403,18 @@ def test_event_validation_and_name_normalization():
     for name in (5, ["sleep"], None):
         with pytest.raises(ValueError, match="name must be a string"):
             TimelineEvent("activity", name, ts(0, 22))
+
+
+class _NoOffset(tzinfo):
+    def utcoffset(self, dt):
+        return None
+
+
+def test_event_rejects_naive_timestamp():
+    at = datetime(2026, 3, 2, 8, 0)
+    for naive in (at, at.replace(tzinfo=_NoOffset()), at.isoformat() + "+00:00"):
+        with pytest.raises(ValueError, match="must be a datetime with a timezone"):
+            TimelineEvent("intake", "m", naive)
 
 
 def test_event_is_slotted_and_keeps_value_semantics():

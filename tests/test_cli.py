@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtckit import cli, dataset
 from mtckit.icl import ReplayClient, build_prompt, default_template, fewshot_from_dugs, gold_answer
+
+from conftest import make_dug, stratified_pool
 
 
 def run(capsys, argv):
@@ -257,3 +266,224 @@ def test_adhere_tolerance_flag(tmp_path, capsys):
     assert code == 0 and out.startswith("violated")
     code, out, _ = run(capsys, base + ["--consistency-tolerance-min", "180"])
     assert code == 0 and out.startswith("satisfied")
+
+
+def test_eval_bad_prediction_line_names_path_and_line(tmp_path, pool, capsys):
+    gold = tmp_path / "gold.jsonl"
+    dataset.dump_dugs(pool[:2], gold)
+    pred = tmp_path / "pred.jsonl"
+    first = json.dumps({"dug_id": pool[0].id, "candidates": []})
+    for bad_line, reason in [
+        ("{not json", "Expecting property name"),
+        ('{"candidates": []}', "with a dug_id"),
+        ('{"dug_id": null}', "with a dug_id"),
+    ]:
+        pred.write_text(f"{first}\n{bad_line}\n", encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--gold", str(gold), "--pred", str(pred)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {pred}:2: ") and reason in err
+
+
+# ------------------------------------------------------------ configuration
+
+
+def _options(sub: argparse.ArgumentParser) -> set[str]:
+    return {option for action in sub._actions for option in action.option_strings}
+
+
+def test_config_only_on_extract_and_adhere_and_extract_has_no_seed():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    with_config = {name for name, sub in subs.choices.items() if "--config" in _options(sub)}
+    assert with_config == {"extract", "adhere"}
+    assert "--seed" not in _options(subs.choices["extract"])
+    assert all("--format" in _options(sub) for sub in subs.choices.values())
+
+
+def test_config_on_other_subcommands_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parse", "3 times day", "--config", "/nonexistent"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config /nonexistent" in capsys.readouterr().err
+
+
+def _write_events(tmp_path, rows) -> str:
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    return str(events)
+
+
+def _commands(tmp_path):
+    """adhere and extract argvs that reach the point where ``--config`` is read."""
+    intake = {"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00+00:00"}
+    corpus, fewshot = str(tmp_path / "corpus.jsonl"), str(tmp_path / "fs.jsonl")
+    return {
+        "adhere": ["adhere", "--mtc", "in morning", "--timeline", _write_events(tmp_path, [intake])],
+        "extract": ["extract", "--file", corpus, "--fewshot", fewshot, "--client", "http"],
+    }
+
+
+_BAD_CONFIGS = [
+    ({"adherence": {"day_part_windows": {"morning": 5}}},
+     'adherence.day_part_windows.morning: expected ["HH:MM", "HH:MM"] in local time, got 5'),
+    ({"http": []}, "http: expected an object, got []"),
+    ({"adherence": {"dependency_tolerance_mins": 5}}, "adherence.dependency_tolerance_mins: unknown key"),
+    ({"adherence": []}, "adherence: expected an object, got []"),
+    ({"decoding": {"max_tokens": 1.7}}, "decoding.max_tokens: expected an integer, got 1.7"),
+    ({"decoding": {"temperature": True}}, "decoding.temperature: expected a number, got true"),
+    ({"http": {"max_attempts": 0}}, "http.max_attempts: 0 is not within 1.."),
+    ({"http": {"timeout": None}}, "http.timeout: expected a number, got null"),
+    ({"logging": {}}, "logging: unknown key; expected one of http, decoding, adherence"),
+    ({"adherence": {"consistency_tolerance_min": -1}},
+     "adherence.consistency_tolerance_min: -1 is not within 0..525600"),
+    ({"adherence": {"imprecision_horizon_min": 1e300}},
+     "adherence.imprecision_horizon_min: 1e+300 is not within"),
+    ({"adherence": {"day_part_windows": {"dusk": ["18:00", "20:00"]}}},
+     "adherence.day_part_windows.dusk: unknown key; expected one of morning, evening, noon"),
+    *(({"adherence": {"day_part_windows": {"noon": window}}}, "adherence.day_part_windows.noon: expected")
+      for window in (["11:00", "13:00", "14:00"], ["11:00+01:00", "13:00"], ["11h", "13:00"])),
+    ([1], "expected an object, got [1]"),
+]
+
+
+@pytest.mark.parametrize("command", ["adhere", "extract"])
+@pytest.mark.parametrize("config, message", _BAD_CONFIGS)
+def test_bad_config_exits_one_naming_path_and_key(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, _commands(tmp_path)[command] + ["--config", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("command", ["adhere", "extract"])
+def test_malformed_config_json_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text('{"adherence": ', encoding="utf-8")
+    code, _, err = run(capsys, _commands(tmp_path)[command] + ["--config", str(path)])
+    assert code == 1 and err.startswith(f"error: {path}: not JSON: ")
+
+
+@pytest.mark.parametrize("value", ["1e300", "-1", "nan", "inf"])
+def test_minute_flag_out_of_range_exits_one(tmp_path, capsys, value):
+    argv = _commands(tmp_path)["adhere"] + ["--dependency-tolerance-min", value]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --dependency-tolerance-min: ") and "is not within 0..525600" in err
+
+
+def test_adherence_settings_flag_over_config_over_default(tmp_path, capsys):
+    rows = [
+        {"kind": "intake", "name": "m", "timestamp": f"2026-03-0{day}T{clock}:00+00:00"}
+        for day, clock in ((2, "08:00"), (3, "08:30"), (4, "10:30"))
+    ]
+    base = ["adhere", "--mtc", "at the same time each day", "--timeline", _write_events(tmp_path, rows)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"adherence": {"consistency_tolerance_min": 180}}), encoding="utf-8")
+    assert run(capsys, base)[1].startswith("violated")  # default 60 minutes
+    assert run(capsys, base + ["--config", str(config)])[1].startswith("satisfied")
+    flagged = base + ["--config", str(config), "--consistency-tolerance-min", "60"]
+    assert run(capsys, flagged)[1].startswith("violated")
+
+
+@pytest.mark.parametrize(
+    "windows, verdict",
+    [
+        ({"morning": ["07:00", "09:00"]}, "satisfied"),
+        ({"morning": ["09:00", "12:00"]}, "violated"),
+        ({"evening": ["17:00", "22:00"]}, "indeterminate"),  # the whole default set is replaced
+    ],
+)
+def test_day_part_windows_replace_the_defaults(tmp_path, capsys, windows, verdict):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"adherence": {"day_part_windows": windows}}), encoding="utf-8")
+    code, out, _ = run(capsys, _commands(tmp_path)["adhere"] + ["--config", str(config)])
+    assert code == 0 and out.startswith(verdict)
+
+
+class _FakeSession:
+    """Stands in for ``requests.Session``: records each post and answers ``NONE``."""
+
+    posts: list = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        _FakeSession.posts.append({"url": url, "json": json, "timeout": timeout})
+        return SimpleNamespace(status_code=200, json=lambda: {"text": "NONE"})
+
+
+def _http_extract(tmp_path, pool, *extra):
+    corpus, fewshot_file, _ = _prepare_replay_run(tmp_path, pool)
+    argv = ["extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "simple",
+            "--client", "http", *extra]
+    _FakeSession.posts = []
+    with mock.patch("requests.Session", _FakeSession):
+        code = cli.main(argv)
+    assert code == 0
+    return _FakeSession.posts[0]
+
+
+def test_extract_http_defaults(tmp_path, pool, capsys):
+    post = _http_extract(tmp_path, pool, "--base-url", "http://flag.invalid/v1")
+    assert post["url"] == "http://flag.invalid/v1" and post["timeout"] == 60.0
+    assert post["json"]["model"] == "" and "prompt" in post["json"]
+    assert post["json"]["temperature"] == 0.0 and post["json"]["max_tokens"] == 256
+
+
+def test_extract_http_settings_flag_over_config(tmp_path, pool, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "http": {"base_url": "http://config.invalid/v1", "model": "cfg", "use_messages": True, "timeout": 5},
+        "decoding": {"temperature": 0, "max_tokens": 64},
+    }), encoding="utf-8")
+    post = _http_extract(tmp_path, pool, "--config", str(config), "--model", "flag", "--max-tokens", "32")
+    assert post["url"] == "http://config.invalid/v1" and post["timeout"] == 5.0
+    assert post["json"]["model"] == "flag" and "messages" in post["json"]
+    assert post["json"]["max_tokens"] == 32
+    assert post["json"]["temperature"] == 0.0 and isinstance(post["json"]["temperature"], float)
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory):
+    """Timeline, corpus and few-shot files shared by every generated config."""
+    base = tmp_path_factory.mktemp("config_inputs")
+    dataset.dump_dugs([make_dug("h1", "Take it twice daily.", [])], base / "corpus.jsonl")
+    dataset.dump_dugs(stratified_pool()[:4], base / "fs.jsonl")
+    commands = _commands(base)
+    commands["extract"] += ["--strategy", "simple", "--base-url", "http://flag.invalid/v1"]
+    return base, commands
+
+
+# Arbitrary JSON, and configs shaped like CONFIG_KEYS whose values may or may
+# not have the right type, so that a share of the runs gets through to exit 0.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_CLOCKS = st.sampled_from(["05:00", "12:00", "23:59:59", "24:00", "8", "08:00+01:00", "", 5, None])
+_WINDOWS = st.dictionaries(
+    st.sampled_from(["morning", "noon", "evening", "dusk"]), st.lists(_CLOCKS, max_size=3) | _JSON, max_size=3
+)
+_NUMBERS = st.floats() | st.integers(-1, 10**6) | st.just(10**400)
+_TYPED = {str: st.text(max_size=6), bool: st.booleans(), int: _NUMBERS, float: _NUMBERS, timedelta: _NUMBERS}
+_CONFIGS = _JSON | st.fixed_dictionaries({}, optional={
+    section: st.fixed_dictionaries({}, optional={
+        key: (_WINDOWS if isinstance(kind, dict) else _TYPED[kind]) | _JSON for key, kind in keys.items()
+    }) | _JSON
+    for section, keys in cli.CONFIG_KEYS.items()
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_CONFIGS)
+def test_any_json_config_exits_zero_or_one_without_traceback(config_inputs, config):
+    base, commands = config_inputs
+    path = base / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    for argv in commands.values():
+        out, err = io.StringIO(), io.StringIO()
+        # No URL is dialled: the session is a fake, and an exception here fails the test.
+        with redirect_stdout(out), redirect_stderr(err), mock.patch("requests.Session", _FakeSession):
+            code = cli.main(argv + ["--config", str(path)])
+        assert code in (0, 1)
+        assert code == 0 or err.getvalue().startswith(("error: ", "nonvalid: "))

@@ -601,6 +601,39 @@ def test_extract_marks_malformed_http_body_failed(pool, payload):
     assert record.raw_outputs == () and record.predictions == () and record.mtcs == ()
 
 
+class _FailingClient:
+    """Answers every prompt, but raises ``exc`` for the query that holds ``marker``."""
+
+    def __init__(self, exc, marker):
+        self.exc = exc
+        self.marker = marker
+
+    def complete(self, request):
+        if self.marker in request.prompt:
+            raise self.exc
+        return CompletionResponse("3 times day")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "exc, error",
+    [
+        (RuntimeError("boom"), "RuntimeError: boom"),
+        (KeyError("choices"), "KeyError: 'choices'"),
+        (ServiceError("server error 503", status=503), "server error 503"),
+    ],
+)
+def test_any_client_exception_marks_only_its_record_failed(pool, parallelism, exc, error):
+    fewshot = _fewshot(pool)
+    dugs = [make_dug(f"x{i}", f"Take dose {i} three times daily.", []) for i in range(6)]
+    client = _FailingClient(exc, "Take dose 3 three")
+    records = extract_corpus(dugs, PromptStrategy.simple(), fewshot, client, parallelism)
+    assert [r.dug_id for r in records] == [d.id for d in dugs]
+    assert [r.error for r in records] == [None, None, None, error, None, None]
+    assert records[3].raw_outputs == () and records[3].mtcs == ()
+    assert all(r.predictions == ("3 times day",) for i, r in enumerate(records) if i != 3)
+
+
 class _Pulls:
     """Iterator over ``items`` that counts how many were taken."""
 
@@ -656,6 +689,14 @@ def test_closing_parallel_extraction_stops_pulling(pool):
     assert calls <= pulls.count
     time.sleep(0.01)
     assert client.calls == calls  # nothing keeps running after close
+
+
+def test_type_guides_read_once_and_copied():
+    prompts._type_guide_table.cache_clear()
+    first = type_guides()
+    first.clear()
+    assert sorted(type_guides()) == list(range(1, 8))
+    assert prompts._type_guide_table.cache_info().misses == 1
 
 
 def test_extract_corpus_order_and_determinism(tmp_path, pool):

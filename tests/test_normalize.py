@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +131,22 @@ def test_alias_table_rejects_malformed(tmp_path):
     path.write_text("justoneword\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_alias_table(path)
+
+
+@pytest.mark.parametrize("row", ["justoneword", "supper\t", "supper\teating\textra", "\teating"])
+def test_alias_table_error_names_path_and_line(tmp_path, row):
+    path = tmp_path / "aliases.txt"
+    path.write_text(f"# comment\n\nsupper\teating\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: expected 'alias<TAB>canonical'"):
+        load_alias_table(path)
+
+
+def test_default_aliases_read_once_and_copied():
+    normalize._default_aliases.cache_clear()
+    first = default_activity_aliases()
+    first["supper"] = "eating"
+    assert "supper" not in default_activity_aliases()
+    assert normalize._default_aliases.cache_info().misses == 1
 
 
 def test_default_aliases_cover_published_mappings():

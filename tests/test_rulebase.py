@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from mtckit import rulebase
 from mtckit.evaluation import MismatchedIdsError
 from mtckit.rulebase import (
     TypePrediction,
@@ -74,6 +76,30 @@ def test_load_rules_rejects_malformed(tmp_path):
     path.write_text("two\tno numeric type\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_type_rules(path)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("two\tno numeric type", "invalid literal"),
+        ("9\tbefore {clock}", "type must be 1..7"),
+        ("2\tonce daily\textra", "expected 'type<TAB>pattern'"),
+        ("2", "expected 'type<TAB>pattern'"),
+    ],
+)
+def test_rule_table_error_names_path_and_line(tmp_path, row, reason):
+    path = tmp_path / "rules.tsv"
+    path.write_text(f"# comment\n2\tnightly dose\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {reason}"):
+        load_type_rules(path)
+
+
+def test_default_rules_read_once_and_copied():
+    rulebase._default_rules.cache_clear()
+    first = default_type_rules()
+    first.clear()
+    assert len(default_type_rules()) == 70
+    assert rulebase._default_rules.cache_info().misses == 1
 
 
 def test_placeholders_and_boundaries():
