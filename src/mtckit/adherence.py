@@ -123,10 +123,16 @@ class Timeline:
         events: Iterable[TimelineEvent],
         window: tuple[datetime | None, datetime | None] = (None, None),
     ) -> "Timeline":
-        """Sort events, default the window to their span, drop events outside it."""
+        """Sort events, default the window to their span, drop events outside it.
+
+        Raises ``ValueError`` for a window bound without a timezone.
+        """
         ordered = sorted(events, key=lambda e: e.timestamp)
         if not ordered and (window[0] is None or window[1] is None):
             raise ValueError("an empty timeline needs an explicit window")
+        for bound in window:
+            if bound is not None and (not isinstance(bound, datetime) or bound.utcoffset() is None):
+                raise ValueError(f"window bound must be a datetime with a timezone, got {bound!r}")
         start = window[0] if window[0] is not None else ordered[0].timestamp
         end = window[1] if window[1] is not None else ordered[-1].timestamp
         if start > end:

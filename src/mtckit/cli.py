@@ -285,8 +285,7 @@ def cmd_eval(args) -> int:
             continue
         try:
             record = json.loads(line)
-            if not isinstance(record, dict) or record.get("dug_id") is None:
-                raise ValueError("prediction record must be a JSON object with a dug_id")
+            evaluation.prediction_fields(record)  # evaluate's own check, run here to name the line
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{args.pred}:{lineno}: {exc}") from None
         records.append(record)

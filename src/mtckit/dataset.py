@@ -45,11 +45,13 @@ class Dug:
     labels: tuple[Mtc, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not isinstance(self.text, str):
+            raise ValueError(f"dug id and text must be strings, got {self.id!r} and {self.text!r}")
         if not self.id:
             raise ValueError("dug id must be nonempty")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if not self.text or not self.text.strip():
+        if not self.text.strip():
             raise ValueError(f"dug {self.id!r} has empty text")
         object.__setattr__(self, "labels", dedup_mtcs(list(self.labels)))
 
@@ -80,7 +82,7 @@ def _dug_from_dict(record: dict) -> Dug:
             labels.append(parse_mtc(label))
         except grammar.NonvalidMtcError as exc:
             raise ValueError(f"gold label {label!r} does not parse: {exc.reason}") from None
-    return Dug(str(record["id"]), record["source"], record["text"], tuple(labels))
+    return Dug(record["id"], record["source"], record["text"], tuple(labels))
 
 
 def load_dugs(path: str | Path) -> list[Dug]:
@@ -105,7 +107,7 @@ def load_dugs(path: str | Path) -> list[Dug]:
                 raise ValueError(f"duplicate id {dug.id!r}")
             seen_ids.add(dug.id)
             dugs.append(dug)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, RecursionError) as exc:
             problems.append((lineno, str(exc)))
     if problems:
         raise CorpusFormatError(problems)

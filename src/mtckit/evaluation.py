@@ -26,7 +26,8 @@ nothing to get wrong).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import grammar
 from .dataset import Dug
@@ -158,8 +159,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _mean(values: Sequence[float], empty: float = 1.0) -> float:
-    return sum(values) / len(values) if values else empty
+def _means(rows: Sequence[tuple[float, float, float]]) -> tuple[float, ...]:
+    return tuple(sum(column) / len(rows) for column in zip(*rows)) if rows else (1.0, 1.0, 1.0)
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -169,38 +170,74 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _candidate_text(entry) -> str:
+def align_ids(gold: Sequence[Dug], pairs: Iterable[tuple[str, object]]) -> dict:
+    """``{dug_id: value}`` of ``(dug_id, value)`` pairs that name each gold id once.
+
+    Raises :class:`MismatchedIdsError` for a duplicate, missing or unmatched id.
+    """
+    by_id = {}
+    for dug_id, value in pairs:
+        if dug_id in by_id:
+            raise MismatchedIdsError(f"duplicate prediction for {dug_id!r}")
+        by_id[dug_id] = value
+    gold_ids = {dug.id for dug in gold}
+    if gold_ids != by_id.keys():
+        missing = sorted(gold_ids - by_id.keys())
+        extra = sorted(by_id.keys() - gold_ids, key=str)
+        raise MismatchedIdsError(f"missing predictions for {missing}, unmatched predictions {extra}")
+    return by_id
+
+
+def score_labels(labels: Iterable, gold_sets: Sequence[Container], pred_sets: Sequence[Container]) -> dict:
+    """``{label: LabelMetrics}`` over guidelines' aligned gold and predicted label sets."""
+    per_label = {}
+    for label in labels:
+        tp = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label in p)
+        fp = sum(1 for g, p in zip(gold_sets, pred_sets) if label not in g and label in p)
+        fn = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label not in p)
+        support = sum(1 for g in gold_sets if label in g)
+        predicted = sum(1 for p in pred_sets if label in p)
+        per_label[label] = LabelMetrics(*_prf(tp, fp, fn), support, predicted)
+    return per_label
+
+
+def macro_average(metrics: Iterable[LabelMetrics]) -> tuple[float, ...]:
+    """Mean precision, recall and F1 of ``metrics`` (1.0 each over nothing)."""
+    return _means([(m.precision, m.recall, m.f1) for m in metrics])
+
+
+def _candidate_text(entry) -> object:
     # extraction records serialize candidates as {"text", "valid", "reason"}
     if isinstance(entry, Mapping):
-        return str(entry.get("text", ""))
-    text = getattr(entry, "text", None)
-    return str(text) if text is not None else str(entry)
+        return entry.get("text")
+    return entry if isinstance(entry, str) else getattr(entry, "text", None)
 
 
-def _prediction_fields(record) -> tuple[str, list[str], list[str]]:
-    """(dug_id, forwarded predictions, all extracted candidates) of a record.
+def _strings(values, field: str, text=lambda entry: entry) -> list[str]:
+    texts = [text(entry) for entry in values] if isinstance(values, (list, tuple)) else None
+    if texts is None or not all(isinstance(t, str) for t in texts):
+        raise ValueError(f"prediction record {field} must be a list of strings, got {values!r}")
+    return texts
+
+
+def prediction_fields(record) -> tuple[str, tuple[list[str], list[str]]]:
+    """``(dug_id, (forwarded predictions, all extracted candidates))`` of a record.
 
     Accepts extraction records, plain mappings, or anything exposing
-    ``dug_id`` plus ``predictions`` and/or ``candidates``.
+    ``dug_id`` plus ``predictions`` and/or ``candidates``. Each is a list
+    (or tuple) of strings; a candidate may also be a ``{"text": str}``
+    object or have a string ``.text``. Raises ``ValueError`` otherwise.
     """
-    if isinstance(record, Mapping):
-        dug_id = record.get("dug_id")
-        raw_candidates = record.get("candidates", [])
-        raw_predictions = record.get("predictions", None)
-    else:
-        dug_id = getattr(record, "dug_id", None)
-        raw_candidates = getattr(record, "candidates", [])
-        raw_predictions = getattr(record, "predictions", None)
+    get = record.get if isinstance(record, Mapping) else partial(getattr, record)
+    dug_id = get("dug_id", None)
     if dug_id is None:
-        raise ValueError(f"prediction record without dug_id: {record!r}")
-    candidates = [_candidate_text(c) for c in raw_candidates]
-    if raw_predictions is None:
-        predictions = list(candidates)
-    else:
-        predictions = [str(p) for p in raw_predictions]
+        raise ValueError(f"prediction record must be an object with a dug_id, got {record!r}")
+    candidates = _strings(get("candidates", []), "candidates", _candidate_text)
+    raw_predictions = get("predictions", None)
+    predictions = list(candidates) if raw_predictions is None else _strings(raw_predictions, "predictions")
     if not candidates and predictions:
         candidates = list(predictions)
-    return str(dug_id), predictions, candidates
+    return str(dug_id), (predictions, candidates)
 
 
 def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = None) -> EvalReport:
@@ -211,17 +248,7 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
     """
     if space is None:
         space = build_label_space(gold)
-    by_id = {}
-    for record in records:
-        dug_id, predictions, candidates = _prediction_fields(record)
-        if dug_id in by_id:
-            raise MismatchedIdsError(f"duplicate prediction for {dug_id!r}")
-        by_id[dug_id] = (predictions, candidates)
-    gold_ids = {dug.id for dug in gold}
-    if gold_ids != set(by_id):
-        missing = sorted(gold_ids - set(by_id))
-        extra = sorted(set(by_id) - gold_ids)
-        raise MismatchedIdsError(f"missing predictions for {missing}, unmatched predictions {extra}")
+    by_id = align_ids(gold, map(prediction_fields, records))
 
     space_set = set(space)
     gold_sets: list[set[str]] = []
@@ -241,41 +268,18 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         gold_sets.append(gold_set)
         pred_sets.append(set(mapped))
 
-    per_label: dict[str, LabelMetrics] = {}
-    for label in space:
-        tp = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label in p)
-        fp = sum(1 for g, p in zip(gold_sets, pred_sets) if label not in g and label in p)
-        fn = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label not in p)
-        support = sum(1 for g in gold_sets if label in g)
-        predicted = sum(1 for p in pred_sets if label in p)
-        precision, recall, f1 = _prf(tp, fp, fn)
-        per_label[label] = LabelMetrics(precision, recall, f1, support, predicted)
-
+    per_label = score_labels(space, gold_sets, pred_sets)
     macro_labels = tuple(
         label
         for label in space
         if per_label[label].support > 0
         or (label == UNDEFINED_LABEL and per_label[label].predicted > 0)
     )
-    macro_precision = _mean([per_label[l].precision for l in macro_labels])
-    macro_recall = _mean([per_label[l].recall for l in macro_labels])
-    macro_f1 = _mean([per_label[l].f1 for l in macro_labels])
+    macro_precision, macro_recall, macro_f1 = macro_average([per_label[l] for l in macro_labels])
 
-    def example_scores(pairs: Sequence[tuple[set, set]]) -> tuple[float, float, float]:
-        ps, rs, fs = [], [], []
-        for g, p in pairs:
-            if not g and not p:
-                ps.append(1.0)
-                rs.append(1.0)
-                fs.append(1.0)
-                continue
-            hit = len(g & p)
-            prec = hit / len(p) if p else 0.0
-            rec = hit / len(g) if g else 0.0
-            ps.append(prec)
-            rs.append(rec)
-            fs.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-        return _mean(ps), _mean(rs), _mean(fs)
+    def example_scores(pairs: Sequence[tuple[set, set]]) -> tuple[float, ...]:
+        # A guideline scores as one label would, and 1.0 when gold and prediction are empty.
+        return _means([(_prf(len(g & p), len(p - g), len(g - p)) if g or p else (1.0,) * 3) for g, p in pairs])
 
     pairs = list(zip(gold_sets, pred_sets))
     example_precision, example_recall, example_f1 = example_scores(pairs)

@@ -124,7 +124,7 @@ class HttpCompletionClient:
 
     Server errors (5xx) and transport failures are retried up to
     ``max_attempts`` with backoff ``backoff * 2**attempt`` seconds; client
-    errors (4xx) fail immediately.
+    errors (4xx) fail immediately. ``max_attempts`` below 1 raises ``ValueError``.
     """
 
     def __init__(
@@ -138,6 +138,8 @@ class HttpCompletionClient:
         backoff: float = 1.0,
         session: requests.Session | None = None,
     ):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
         self.base_url = base_url
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
@@ -219,5 +221,4 @@ class HttpCompletionClient:
                     return CompletionResponse(text, finish)
             if attempt < self.max_attempts:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
-        assert last_error is not None
         raise last_error

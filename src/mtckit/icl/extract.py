@@ -59,10 +59,6 @@ class ExtractionRecord:
     error: str | None = None
 
     @property
-    def candidate_strings(self) -> tuple[str, ...]:
-        return tuple(c.text for c in self.candidates)
-
-    @property
     def failed(self) -> bool:
         return self.error is not None
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dataset import Dug
-from .evaluation import MismatchedIdsError, _mean, _prf
+from .evaluation import LabelMetrics, align_ids, macro_average, score_labels
 from .grammar import NUMBER_WORDS, mtc_type
 from .tables import DATA, read_table
 
@@ -89,16 +89,8 @@ class TypePrediction:
 
 
 @dataclass(frozen=True)
-class TypeMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
 class TypeClassifierReport:
-    per_type: dict[int, TypeMetrics]
+    per_type: dict[int, LabelMetrics]
     macro_precision: float
     macro_recall: float
     macro_f1: float
@@ -137,29 +129,8 @@ def evaluate_type_classifier(
     Macro averages run over types occurring in gold or in predictions;
     with nothing of either, the vacuous macro is 1.0.
     """
-    pred_by_id: dict[str, frozenset[int]] = {}
-    for pred in preds:
-        if pred.dug_id in pred_by_id:
-            raise MismatchedIdsError(f"duplicate prediction for {pred.dug_id!r}")
-        pred_by_id[pred.dug_id] = pred.types
-    gold_ids = {dug.id for dug in gold}
-    if gold_ids != set(pred_by_id):
-        raise MismatchedIdsError("prediction ids do not match gold ids")
-
-    gold_types = {dug.id: {mtc_type(m) for m in dug.labels} for dug in gold}
-    relevant = sorted(
-        set().union(*gold_types.values(), *pred_by_id.values()) if gold else set()
-    )
-    per_type: dict[int, TypeMetrics] = {}
-    for t in relevant:
-        tp = sum(1 for d in gold if t in gold_types[d.id] and t in pred_by_id[d.id])
-        fp = sum(1 for d in gold if t not in gold_types[d.id] and t in pred_by_id[d.id])
-        fn = sum(1 for d in gold if t in gold_types[d.id] and t not in pred_by_id[d.id])
-        precision, recall, f1 = _prf(tp, fp, fn)
-        per_type[t] = TypeMetrics(precision, recall, f1, sum(1 for d in gold if t in gold_types[d.id]))
-    return TypeClassifierReport(
-        per_type=per_type,
-        macro_precision=_mean([m.precision for m in per_type.values()]),
-        macro_recall=_mean([m.recall for m in per_type.values()]),
-        macro_f1=_mean([m.f1 for m in per_type.values()]),
-    )
+    pred_by_id = align_ids(gold, ((pred.dug_id, pred.types) for pred in preds))
+    gold_sets = [{mtc_type(m) for m in dug.labels} for dug in gold]
+    pred_sets = [pred_by_id[dug.id] for dug in gold]
+    per_type = score_labels(sorted(set().union(*gold_sets, *pred_sets)), gold_sets, pred_sets)
+    return TypeClassifierReport(per_type, *macro_average(per_type.values()))

@@ -417,6 +417,14 @@ def test_event_rejects_naive_timestamp():
             TimelineEvent("intake", "m", naive)
 
 
+def test_build_rejects_window_bound_without_timezone():
+    event = TimelineEvent("intake", "m", datetime(2026, 3, 2, 8, 0, tzinfo=timezone.utc))
+    naive = datetime(2026, 3, 2)
+    for window in ((naive, None), (None, naive), (naive.replace(tzinfo=_NoOffset()), None), ("2026-03-02", None)):
+        with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
+            Timeline.build([event], window)
+
+
 def test_event_is_slotted_and_keeps_value_semantics():
     event = TimelineEvent("activity", "Meal", ts(0, 12))
     assert not hasattr(event, "__dict__")

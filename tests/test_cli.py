@@ -277,11 +277,26 @@ def test_eval_bad_prediction_line_names_path_and_line(tmp_path, pool, capsys):
         ("{not json", "Expecting property name"),
         ('{"candidates": []}', "with a dug_id"),
         ('{"dug_id": null}', "with a dug_id"),
+        ('{"dug_id": "p02", "candidates": 5}', "candidates must be a list of strings"),
+        ('{"dug_id": "p02", "predictions": "1 times day"}', "predictions must be a list of strings"),
     ]:
         pred.write_text(f"{first}\n{bad_line}\n", encoding="utf-8")
         code, out, err = run(capsys, ["eval", "--gold", str(gold), "--pred", str(pred)])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {pred}:2: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "command", [["dataset-stats"], ["rules-classify", "--eval"], ["fewshot-select", "--k", "1"]]
+)
+@pytest.mark.parametrize("field, value", [("text", 5), ("id", {"k": 1})])
+def test_corpus_id_or_text_of_another_type_exits_one_naming_the_line(tmp_path, capsys, command, field, value):
+    corpus = tmp_path / "corpus.jsonl"
+    record = {"id": "a", "source": "fda", "text": "Take it twice daily.", "labels": []}
+    corpus.write_text(json.dumps({**record, field: value}) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, [command[0], "--file", str(corpus), *command[1:]])
+    assert code == 1 and out == ""
+    assert err.startswith("error: 1 bad corpus record(s): line 1: dug id and text must be strings")
 
 
 # ------------------------------------------------------------ configuration
@@ -487,3 +502,70 @@ def test_any_json_config_exits_zero_or_one_without_traceback(config_inputs, conf
             code = cli.main(argv + ["--config", str(path)])
         assert code in (0, 1)
         assert code == 0 or err.getvalue().startswith(("error: ", "nonvalid: "))
+
+
+# ------------------------------------------------------------ input files
+
+#: A valid record of each file kind a subcommand reads.
+_RECORDS = {
+    "corpus": {"id": "a", "source": "fda", "text": "Take it twice daily.", "labels": ["2 times day"]},
+    "pred": {
+        "dug_id": "a",
+        "candidates": [{"text": "2 times day", "valid": True, "reason": None}],
+        "predictions": ["2 times day"],
+    },
+    "timeline": {"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00+00:00"},
+}
+
+#: Each subcommand that reads a file: the kind of the file fuzzed and its argv,
+#: given the fuzzed file ``f`` and the valid input files ``v``.
+_FILE_COMMANDS = {
+    "dataset-stats": ("corpus", lambda f, v: ["dataset-stats", "--file", f]),
+    "rules-classify --eval": ("corpus", lambda f, v: ["rules-classify", "--file", f, "--eval"]),
+    "fewshot-select": ("corpus", lambda f, v: ["fewshot-select", "--file", f, "--k", "1"]),
+    "eval --gold": ("corpus", lambda f, v: ["eval", "--gold", f, "--pred", v["pred"]]),
+    "eval --pred": ("pred", lambda f, v: ["eval", "--gold", v["corpus"], "--pred", f]),
+    "extract --file": ("corpus", lambda f, v: [
+        "extract", "--file", f, "--fewshot", v["fewshot"], *v["replay"]
+    ]),
+    "extract --fewshot": ("corpus", lambda f, v: [
+        "extract", "--file", v["corpus"], "--fewshot", f, *v["replay"]
+    ]),
+    "adhere --timeline": ("timeline", lambda f, v: ["adhere", "--mtc", "in morning", "--timeline", f]),
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """The valid input files beside the fuzzed one; the fixtures directory stays empty."""
+    base = tmp_path_factory.mktemp("input_files")
+    for kind in ("corpus", "pred"):
+        (base / f"{kind}.jsonl").write_text(json.dumps(_RECORDS[kind]) + "\n", encoding="utf-8")
+    dataset.dump_dugs(stratified_pool()[:4], base / "fewshot.jsonl")
+    valid = {kind: str(base / f"{kind}.jsonl") for kind in ("corpus", "pred", "fewshot")}
+    valid["replay"] = ["--client", "replay", "--fixtures", str(base / "fixtures")]
+    return base / "fuzzed.jsonl", valid
+
+
+def _file_contents(record: dict):
+    """Arbitrary bytes, or lines of arbitrary JSON, of ``record``, or of ``record``
+    with one field replaced by arbitrary JSON."""
+    replaced = st.sampled_from(sorted(record)).flatmap(
+        lambda key: _JSON.map(lambda value: {**record, key: value})
+    )
+    lines = st.lists(_JSON | replaced | st.just(record), min_size=1, max_size=3)
+    return st.binary(max_size=80) | lines.map(lambda rows: "\n".join(map(json.dumps, rows)).encode())
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_input_file_exits_zero_or_one_without_traceback(input_files, command, data):
+    fuzzed, valid = input_files
+    kind, argv = _FILE_COMMANDS[command]
+    fuzzed.write_bytes(data.draw(_file_contents(_RECORDS[kind])))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv(str(fuzzed), valid))
+    assert code in (0, 1)
+    assert code == 0 or err.getvalue().startswith(("error: ", "nonvalid: "))

@@ -66,6 +66,32 @@ def test_dug_validation():
         Dug("x", "nope", "text")
     with pytest.raises(ValueError):
         Dug("", "fda", "text")
+    for dug_id, text in ((5, "text"), ({"k": 1}, "text"), ("x", 5), ("x", None)):
+        with pytest.raises(ValueError, match="dug id and text must be strings"):
+            Dug(dug_id, "fda", text)
+
+
+def test_load_reports_non_string_id_or_text_by_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    rows = [
+        {"id": "a", "source": "fda", "text": "ok", "labels": []},
+        {"id": "b", "source": "fda", "text": 5, "labels": []},
+        {"id": {"k": 1}, "source": "fda", "text": "ok", "labels": []},
+        {"id": 7, "source": "fda", "text": "ok", "labels": []},
+    ]
+    path.write_text("\n".join(json.dumps(row) for row in rows), encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_dugs(path)
+    assert [line for line, _ in err.value.problems] == [2, 3, 4]
+    assert all("must be strings" in reason for _, reason in err.value.problems)
+
+
+def test_load_reports_deep_nesting_by_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_dugs(path)
+    assert [line for line, _ in err.value.problems] == [1]
 
 
 def test_dug_labels_deduplicate():

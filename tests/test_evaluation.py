@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from mtckit.evaluation import (
     UNDEFINED_LABEL,
     MismatchedIdsError,
+    align_ids,
     build_label_space,
     evaluate,
     krippendorff_alpha,
@@ -65,6 +67,49 @@ def test_mismatched_ids():
         evaluate(gold, [{"dug_id": "zz", "candidates": []}])
     with pytest.raises(MismatchedIdsError):
         evaluate(gold, [{"dug_id": "a", "candidates": []}, {"dug_id": "a", "candidates": []}])
+
+
+def test_align_ids_names_duplicate_missing_and_unmatched_ids():
+    gold = [make_dug("a", "t", []), make_dug("b", "t", [])]
+    assert align_ids(gold, [("b", 2), ("a", 1)]) == {"a": 1, "b": 2}
+    with pytest.raises(MismatchedIdsError, match=r"duplicate prediction for 'a'"):
+        align_ids(gold, [("a", 1), ("a", 1)])
+    with pytest.raises(MismatchedIdsError, match=r"missing predictions for \['b'\], unmatched predictions \['z'\]"):
+        align_ids(gold, [("a", 1), ("z", 1)])
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"dug_id": "a", "candidates": 5},
+        {"dug_id": "a", "predictions": "1 times day"},
+        {"dug_id": "a", "candidates": "1 times day"},
+        {"dug_id": "a", "candidates": [5]},
+        {"dug_id": "a", "candidates": [{"valid": True}]},
+        {"dug_id": "a", "candidates": [{"text": 5}]},
+        {"dug_id": "a", "predictions": [None]},
+        {"dug_id": "a", "predictions": [{"text": "1 times day"}]},
+        {"dug_id": "a", "candidates": {"1 times day"}},
+    ],
+)
+def test_malformed_prediction_fields_raise_value_error(record):
+    gold = [make_dug("a", "t", ["1 times day"])]
+    with pytest.raises(ValueError, match="must be a list of strings"):
+        evaluate(gold, [record])
+
+
+def test_prediction_record_shapes_score_alike():
+    gold = [make_dug("a", "t", ["1 times day"])]
+    text = SimpleNamespace(text="1 times day")
+    shapes = [
+        {"dug_id": "a", "candidates": ["1 times day"]},
+        {"dug_id": "a", "candidates": [{"text": "1 times day", "valid": True, "reason": None}]},
+        {"dug_id": "a", "predictions": ("1 times day",)},
+        SimpleNamespace(dug_id="a", candidates=(text,), predictions=("1 times day",)),
+    ]
+    reports = [evaluate(gold, [record]).to_dict() for record in shapes]
+    assert all(report == reports[0] for report in reports)
+    assert reports[0]["macro"]["f1"] == 1.0
 
 
 # 12 guidelines with a designed confusion: exact hits, one swap, a lenient

@@ -476,6 +476,13 @@ def test_http_client_exhausts_retries(monkeypatch):
     assert err.value.attempt == 3 and err.value.status == 500
 
 
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_http_client_rejects_fewer_than_one_attempt(max_attempts):
+    session = FakeSession([])
+    with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+        HttpCompletionClient("http://svc", model="m", api_key="k", max_attempts=max_attempts, session=session)
+
+
 _MALFORMED_BODIES = [[], "x", None, 3, {"choices": ["3 times day"]}, {"choices": [None]},
                      {"choices": [{"message": "NONE"}]}, {"choices": {}}]
 

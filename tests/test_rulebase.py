@@ -187,6 +187,17 @@ def test_mismatched_ids_raise():
         evaluate_type_classifier(dugs, preds)
 
 
+def test_mismatched_ids_error_names_missing_and_unmatched_ids():
+    dugs = _fixture_dugs()
+    preds = [TypePrediction(d.id, frozenset()) for d in dugs if d.id != "r2"]
+    with pytest.raises(MismatchedIdsError, match=r"missing predictions for \['r2'\], unmatched predictions \['zz'\]"):
+        evaluate_type_classifier(dugs, preds + [TypePrediction("zz", frozenset())])
+    with pytest.raises(MismatchedIdsError, match=r"duplicate prediction for 'r1'"):
+        evaluate_type_classifier(dugs, preds + [TypePrediction("r1", frozenset())])
+    with pytest.raises(MismatchedIdsError, match=r"unmatched predictions \[5, 'zz'\]"):
+        evaluate_type_classifier(dugs, preds + [TypePrediction(i, frozenset()) for i in ("zz", 5)])
+
+
 def test_random_corpora_match_oracle():
     rng = random.Random(99)
     for _ in range(25):
