@@ -27,12 +27,18 @@ SOURCES = ("fda", "medscape", "ehr")
 
 
 class CorpusFormatError(ValueError):
-    """One or more corpus lines are malformed; carries (line, reason) pairs."""
+    """One or more corpus lines are malformed; carries (line, reason) pairs.
 
-    def __init__(self, problems: Sequence[tuple[int, str]]):
+    ``path`` names the file the lines come from, when known; the message
+    then starts with it.
+    """
+
+    def __init__(self, problems: Sequence[tuple[int, str]], path: str | Path | None = None):
         self.problems = list(problems)
+        self.path = path
         lines = "; ".join(f"line {line}: {reason}" for line, reason in self.problems)
-        super().__init__(f"{len(self.problems)} bad corpus record(s): {lines}")
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}{len(self.problems)} bad corpus record(s): {lines}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ def load_dugs(path: str | Path) -> list[Dug]:
     """Load a corpus file, canonicalizing gold labels through the grammar.
 
     All malformed lines are gathered and reported together in a single
-    :class:`CorpusFormatError`; duplicate ids are an error.
+    :class:`CorpusFormatError` that names ``path``; duplicate ids are an
+    error.
     """
     dugs: list[Dug] = []
     problems: list[tuple[int, str]] = []
@@ -110,7 +117,7 @@ def load_dugs(path: str | Path) -> list[Dug]:
         except (ValueError, RecursionError) as exc:
             problems.append((lineno, str(exc)))
     if problems:
-        raise CorpusFormatError(problems)
+        raise CorpusFormatError(problems, path)
     return dugs
 
 

@@ -21,13 +21,17 @@ no predicted positives has precision 0 and one with no gold positives has
 recall 0; a guideline where both gold and prediction are empty scores 1.0
 on example metrics; an average over an empty collection is 1.0 (there was
 nothing to get wrong).
+
+Scoring walks the guidelines once and tests label-space membership in a
+set, so its cost grows with guidelines plus labels, not their product.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Container, Iterable, Mapping, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, Sequence
 
 from . import grammar
 from .dataset import Dug
@@ -47,11 +51,12 @@ def build_label_space(gold: Sequence[Dug]) -> LabelSpace:
     return tuple(labels) + (UNDEFINED_LABEL,)
 
 
-def map_to_label(candidate: str, space: LabelSpace) -> str:
+def map_to_label(candidate: str, space: Container[str]) -> str:
     """Label-space member for a normalized candidate string.
 
     Nonvalid candidates and valid constraints missing from the space both
-    map to ``undefined``.
+    map to ``undefined``. ``space`` is tested for membership once, so a
+    set of labels makes the call independent of the space's size.
     """
     try:
         canonical = grammar.serialize(grammar.parse_mtc(candidate))
@@ -91,7 +96,24 @@ class EvalReport:
     positive_n_dugs: int = 0
 
     def to_dict(self) -> dict:
-        """Flat machine-readable view; key names are stable."""
+        """Flat machine-readable view; key names are stable.
+
+        Labels that hold one shared metrics value (see :func:`score_labels`)
+        share one ``per_label`` entry; copy an entry before changing it.
+        """
+        rows: dict[int, dict] = {}
+        per_label = {}
+        for label, m in self.per_label.items():
+            row = rows.get(id(m))
+            if row is None:
+                row = rows[id(m)] = {
+                    "precision": m.precision,
+                    "recall": m.recall,
+                    "f1": m.f1,
+                    "support": m.support,
+                    "predicted": m.predicted,
+                }
+            per_label[label] = row
         return {
             "n_dugs": self.n_dugs,
             "n_candidates": self.n_candidates,
@@ -114,16 +136,7 @@ class EvalReport:
                 "f1": self.positive_f1,
                 "n_dugs": self.positive_n_dugs,
             },
-            "per_label": {
-                label: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                    "predicted": m.predicted,
-                }
-                for label, m in self.per_label.items()
-            },
+            "per_label": per_label,
         }
 
     def format_table(self) -> str:
@@ -188,16 +201,27 @@ def align_ids(gold: Sequence[Dug], pairs: Iterable[tuple[str, object]]) -> dict:
     return by_id
 
 
-def score_labels(labels: Iterable, gold_sets: Sequence[Container], pred_sets: Sequence[Container]) -> dict:
-    """``{label: LabelMetrics}`` over guidelines' aligned gold and predicted label sets."""
+def score_labels(labels: Iterable, gold_sets: Sequence[AbstractSet], pred_sets: Sequence[AbstractSet]) -> dict:
+    """``{label: LabelMetrics}`` over guidelines' aligned gold and predicted label sets.
+
+    One pass over the sets counts support, predicted and true positives for
+    every label, so the cost grows with guidelines plus labels, not their
+    product. Labels with the same three counts share one (frozen) metrics
+    value.
+    """
+    support = Counter(label for g in gold_sets for label in g)
+    predicted = Counter(label for p in pred_sets for label in p)
+    tp = Counter(label for g, p in zip(gold_sets, pred_sets) for label in g & p)
+    shared: dict[tuple[int, int, int], LabelMetrics] = {}
     per_label = {}
     for label in labels:
-        tp = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label in p)
-        fp = sum(1 for g, p in zip(gold_sets, pred_sets) if label not in g and label in p)
-        fn = sum(1 for g, p in zip(gold_sets, pred_sets) if label in g and label not in p)
-        support = sum(1 for g in gold_sets if label in g)
-        predicted = sum(1 for p in pred_sets if label in p)
-        per_label[label] = LabelMetrics(*_prf(tp, fp, fn), support, predicted)
+        counts = (tp[label], support[label], predicted[label])
+        metrics = shared.get(counts)
+        if metrics is None:
+            hits, gold_n, pred_n = counts
+            prf = _prf(hits, pred_n - hits, gold_n - hits)
+            metrics = shared[counts] = LabelMetrics(*prf, gold_n, pred_n)
+        per_label[label] = metrics
     return per_label
 
 
@@ -250,7 +274,8 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         space = build_label_space(gold)
     by_id = align_ids(gold, map(prediction_fields, records))
 
-    space_set = set(space)
+    space_set = frozenset(space)
+    gold_space = space_set - {UNDEFINED_LABEL}
     gold_sets: list[set[str]] = []
     pred_sets: list[set[str]] = []
     n_candidates = 0
@@ -260,10 +285,10 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         predictions, candidates = by_id[dug.id]
         n_candidates += len(candidates)
         n_valid += sum(1 for c in candidates if grammar.is_valid(c))
-        mapped = [map_to_label(p, space) for p in predictions]
+        mapped = [map_to_label(p, space_set) for p in predictions]
         undefined_predictions += sum(1 for m in mapped if m == UNDEFINED_LABEL)
         gold_set = set(dug.label_strings)
-        if not gold_set <= space_set - {UNDEFINED_LABEL}:
+        if not gold_set <= gold_space:
             raise ValueError(f"gold labels of {dug.id!r} missing from label space")
         gold_sets.append(gold_set)
         pred_sets.append(set(mapped))

@@ -23,6 +23,10 @@ outcome of the last ``PARSE_CACHE_SIZE`` distinct strings in an LRU cache:
 the (immutable) value, or the rejection reason, from which each call
 raises a fresh :class:`NonvalidMtcError`. No other exception leaves the
 parser, so nothing else can be cached.
+
+:func:`serialize` renders each value's canonical string once and keeps it
+on the value, outside the dataclass fields, so a label read on every
+scoring pass is one shared string, not a new one per call.
 """
 
 from __future__ import annotations
@@ -285,8 +289,31 @@ def with_negated(mtc: Mtc, negated: bool = True) -> Mtc:
     return replace(mtc, negated=negated)
 
 
+#: Key of a value's canonical string in its ``__dict__``. It is not a
+#: dataclass field, so equality, hashing, ``repr`` and ``fields()`` ignore it.
+_CANONICAL = "_canonical"
+
+
 def serialize(mtc: Mtc) -> str:
-    """Canonical surface string for ``mtc`` (deterministic, re-parses to ``mtc``)."""
+    """Canonical surface string for ``mtc`` (deterministic, re-parses to ``mtc``).
+
+    The string is rendered on the first call for a value and kept in the
+    value's ``__dict__``; later calls return that same string. Values are
+    frozen, so it never goes stale: ``with_negated`` and ``replace`` build
+    new values, which render their own. Two threads racing on a first call
+    store equal strings.
+    """
+    try:
+        return mtc.__dict__[_CANONICAL]
+    except (AttributeError, KeyError):
+        pass
+    text = _render(mtc)
+    mtc.__dict__[_CANONICAL] = text
+    return text
+
+
+def _render(mtc: Mtc) -> str:
+    """:func:`serialize` without the cache."""
     if isinstance(mtc, DefinitiveDependency):
         body = f"{mtc.n} {mtc.unit.value} {mtc.dp.value} {mtc.activity}"
     elif isinstance(mtc, Frequency):

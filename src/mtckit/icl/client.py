@@ -14,7 +14,6 @@ reproducible byte-for-byte and testable offline.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -56,6 +55,11 @@ class CompletionClient(Protocol):
 
 def prompt_fingerprint(prompt: str) -> str:
     """Stable hex key of a prompt's UTF-8 bytes (replay fixture filename)."""
+    # Imported here: its OpenSSL pages cost megabytes of resident memory in
+    # every process that imports the package, and only replay fixtures are
+    # keyed by this hash.
+    import hashlib
+
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 

@@ -12,9 +12,8 @@ service call marks the record failed; results are never fabricated.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .. import grammar
 from ..dataset import Dug
@@ -22,6 +21,9 @@ from ..normalize import normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
 from .prompts import PromptStrategy, PromptTemplate, build_prompt, default_template
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 class FewShotLeakageError(ValueError):
@@ -169,6 +171,9 @@ def iter_extract_corpus(
         for dug in dugs:
             yield worker(dug)
         return
+    # Imported here: only this path runs a thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     window = 2 * parallelism
     pending: deque[Future[ExtractionRecord]] = deque()
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

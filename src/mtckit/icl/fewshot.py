@@ -80,9 +80,10 @@ _VALUE_TOKENS_LOCK = threading.Lock()
 class FewShotSet:
     """The fixed example set shown in every prompt.
 
-    Sets compare and hash by value. Both are settled once, at construction:
-    the set keys the prompt-prefix cache on every build, and walking its
-    pairs there would cost more than the cache saves. Equal sets share one
+    Sets compare and hash by value. Both, and the guideline ``ids``, are
+    settled once, at construction: the set keys the prompt-prefix cache on
+    every build and its ids guard every extraction, and walking its pairs
+    there would cost more than the cache saves. Equal sets share one
     value token, so comparing them is an identity check.
     """
 
@@ -97,6 +98,7 @@ class FewShotSet:
                 token = _VALUE_TOKENS[value] = _ValueToken()
         object.__setattr__(self, "_token", token)
         object.__setattr__(self, "_hash", hash(value))
+        object.__setattr__(self, "_ids", frozenset(pair.dug.id for pair in self.pairs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FewShotSet):
@@ -112,7 +114,7 @@ class FewShotSet:
 
     @property
     def ids(self) -> frozenset[str]:
-        return frozenset(pair.dug.id for pair in self.pairs)
+        return self._ids
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -246,7 +246,21 @@ def test_dataset_stats_non_string_label_exits_one(tmp_path, capsys):
     corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
     code, _, err = run(capsys, ["dataset-stats", "--file", str(corpus)])
     assert code == 1
-    assert "line 1: gold label 5 is not a string" in err and "Traceback" not in err
+    assert f"error: {corpus}: 1 bad corpus record(s): line 1: gold label 5 is not a string" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_option", ["--file", "--fewshot"])
+def test_extract_bad_corpus_error_names_its_file(tmp_path, pool, capsys, bad_option):
+    corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "a", "source": "fda", "text": 5, "labels": []}) + "\n", encoding="utf-8")
+    files = {"--file": str(corpus), "--fewshot": str(fewshot_file), bad_option: str(bad)}
+    argv = ["extract", *(part for option in files.items() for part in option),
+            "--client", "replay", "--fixtures", str(fixtures)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: 1 bad corpus record(s): line 1: dug id and text must be strings")
 
 
 def test_adhere_tolerance_flag(tmp_path, capsys):
@@ -296,7 +310,7 @@ def test_corpus_id_or_text_of_another_type_exits_one_naming_the_line(tmp_path, c
     corpus.write_text(json.dumps({**record, field: value}) + "\n", encoding="utf-8")
     code, out, err = run(capsys, [command[0], "--file", str(corpus), *command[1:]])
     assert code == 1 and out == ""
-    assert err.startswith("error: 1 bad corpus record(s): line 1: dug id and text must be strings")
+    assert err.startswith(f"error: {corpus}: 1 bad corpus record(s): line 1: dug id and text must be strings")
 
 
 # ------------------------------------------------------------ configuration

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mtckit import Dug, grammar
 from mtckit.evaluation import (
     UNDEFINED_LABEL,
     MismatchedIdsError,
@@ -15,10 +18,19 @@ from mtckit.evaluation import (
     evaluate,
     krippendorff_alpha,
     map_to_label,
+    score_labels,
 )
+from mtckit.rulebase import TypePrediction, evaluate_type_classifier
 
-from conftest import make_dug, random_annotation_matrix, random_eval_corpus
-from oracles import oracle_evaluate, oracle_krippendorff
+from conftest import (
+    NONVALID_CANDIDATES,
+    VALID_OUT_OF_SPACE,
+    make_dug,
+    random_annotation_matrix,
+    random_eval_corpus,
+    random_mtc,
+)
+from oracles import oracle_evaluate, oracle_krippendorff, oracle_type_metrics
 
 
 def test_label_space_union_plus_undefined():
@@ -219,6 +231,117 @@ def test_report_table_and_dict_shapes():
     for metrics in d["per_label"].values():
         for key in ("precision", "recall", "f1"):
             assert 0.0 <= metrics[key] <= 1.0
+
+
+# ------------------------------------------------------- wide label spaces
+
+
+def _wide_corpus(rng: random.Random, n: int, empty_share: float):
+    """About one distinct label per guideline; candidates mix hits (some
+    upper-cased, some repeated), nonvalid strings and valid strings that
+    are mostly outside the space."""
+    gold, records = [], []
+    for i in range(n):
+        labels = () if rng.random() < empty_share else tuple(random_mtc(rng) for _ in range(rng.randint(1, 3)))
+        dug = Dug(f"w{i:04d}", "fda", f"guideline {i}", labels)
+        candidates = [
+            label.upper() if rng.random() < 0.3 else label
+            for label in dug.label_strings
+            if rng.random() < 0.7
+        ]
+        if rng.random() < 0.4:
+            candidates.append(grammar.serialize(random_mtc(rng)))
+        if rng.random() < 0.3:
+            candidates.append(rng.choice(VALID_OUT_OF_SPACE))
+        if rng.random() < 0.3:
+            candidates.append(rng.choice(NONVALID_CANDIDATES))
+        if candidates and rng.random() < 0.3:
+            candidates.append(rng.choice(candidates))
+        gold.append(dug)
+        records.append({"dug_id": dug.id, "candidates": candidates})
+    return gold, records
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 250),  # hundreds of labels
+    empty_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_wide_label_spaces_match_oracles(seed, n, empty_share):
+    # A seeded generator, not st.randoms(): a corpus takes thousands of
+    # draws, more than one Hypothesis example may hold.
+    rng = random.Random(seed)
+    gold, records = _wide_corpus(rng, n, empty_share)
+    space = build_label_space(gold)
+    report = evaluate(gold, records).to_dict()
+    oracle = oracle_evaluate(
+        [(d.id, list(d.label_strings)) for d in gold],
+        [(r["dug_id"], r["candidates"]) for r in records],
+        space,
+    )
+    for family in ("macro", "example_averaged", "positive_class"):
+        for key in ("precision", "recall", "f1"):
+            assert report[family][key] == pytest.approx(oracle[family][key], abs=1e-9)
+    assert report["macro"]["labels"] == oracle["macro_labels"]
+    assert report["positive_class"]["n_dugs"] == oracle["positive_n_dugs"]
+    assert report["validity_rate"] == pytest.approx(oracle["validity_rate"], abs=1e-9)
+    assert report["undefined_predictions"] == oracle["undefined_predictions"]
+    assert list(report["per_label"]) == list(space)
+    for label, expected in oracle["per_label"].items():
+        for key, value in expected.items():
+            assert report["per_label"][label][key] == pytest.approx(value, abs=1e-9)
+
+    gold_types = [(d.id, {grammar.mtc_type(m) for m in d.labels}) for d in gold]
+    preds = [TypePrediction(d.id, frozenset(rng.sample(range(1, 8), rng.randint(0, 3)))) for d in gold]
+    types = evaluate_type_classifier(gold, preds).to_dict()
+    type_oracle = oracle_type_metrics(gold_types, {p.dug_id: set(p.types) for p in preds})
+    assert list(types["per_type"]) == [str(t) for t in type_oracle["per_type"]]
+    for t, expected in type_oracle["per_type"].items():
+        for key, value in expected.items():
+            assert types["per_type"][str(t)][key] == pytest.approx(value, abs=1e-9)
+    for key in ("precision", "recall", "f1"):
+        assert types["macro"][key] == pytest.approx(type_oracle["macro"][key], abs=1e-9)
+
+
+def test_no_guidelines_matches_oracle():
+    report = evaluate([], []).to_dict()
+    oracle = oracle_evaluate([], [], build_label_space([]))
+    assert report["per_label"] == oracle["per_label"]
+    for family in ("macro", "example_averaged", "positive_class"):
+        for key in ("precision", "recall", "f1"):
+            assert report[family][key] == oracle[family][key] == 1.0
+    types = evaluate_type_classifier([], []).to_dict()
+    assert types["per_type"] == {} and types["macro"] == oracle_type_metrics([], {})["macro"]
+
+
+def test_labels_with_equal_counts_share_metrics_and_rows():
+    gold_sets = [{"a", "b"}, {"c"}, set()]
+    pred_sets = [{"a", "b"}, {"d"}, {"e"}]
+    per_label = score_labels(["a", "b", "c", "d", "e", "z"], gold_sets, pred_sets)
+    assert per_label["a"] is per_label["b"]  # tp 1, support 1, predicted 1
+    assert per_label["d"] is per_label["e"]  # tp 0, support 0, predicted 1
+    assert per_label["c"] is not per_label["d"]
+    assert (per_label["z"].support, per_label["z"].predicted, per_label["z"].f1) == (0, 0, 0.0)
+
+    gold = [make_dug("x", "t", ["2 times day", "before sleep"]), make_dug("y", "t", ["in morning"])]
+    records = [{"dug_id": "x", "candidates": ["2 times day", "before sleep"]}, {"dug_id": "y", "candidates": []}]
+    rows = evaluate(gold, records).to_dict()["per_label"]
+    assert rows["2 times day"] is rows["before sleep"]
+    assert rows["2 times day"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1, "predicted": 1}
+    assert rows["in morning"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1, "predicted": 0}
+
+
+def test_evaluate_is_linear_on_sixteen_thousand_guidelines():
+    # About one distinct label per guideline: a scan over every guideline
+    # for each label takes tens of seconds at this size, one pass over the
+    # sets well under a second.
+    gold, records = _wide_corpus(random.Random(16000), 16_000, 0.1)
+    start = time.perf_counter()
+    report = evaluate(gold, records)
+    elapsed = time.perf_counter() - start
+    assert len(report.per_label) > 10_000
+    assert elapsed < 3.0, f"evaluate took {elapsed:.2f} s"
 
 
 # --------------------------------------------------------------- alpha

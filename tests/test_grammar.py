@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from mtckit.grammar import (
     TimeOfDay,
     TimeUnit,
     is_valid,
+    mtc_to_dict,
     mtc_type,
     parse_mtc,
     parse_mtc_list,
@@ -417,3 +420,54 @@ def test_parse_cache_is_bounded():
     for i in range(PARSE_CACHE_SIZE + 10):
         parse_mtc(f"{i + 1} times day")
     assert grammar._parse_memo.cache_info().currsize == PARSE_CACHE_SIZE
+
+
+# ------------------------------------------------------- canonical string cache
+
+_random_mtcs = st.randoms(use_true_random=False).map(random_mtc)
+
+
+def _fresh(mtc):
+    """An equal value that has never been serialized."""
+    return dataclasses.replace(mtc)
+
+
+@given(st.one_of(_mtcs, _random_mtcs))
+def test_cached_serialize_equals_uncached_render(mtc):
+    expected = grammar._render(mtc)
+    first = serialize(mtc)  # renders and keeps the string
+    assert first == expected
+    assert serialize(mtc) is first  # later calls return the kept string
+    assert serialize(_fresh(mtc)) == expected
+
+
+@given(st.one_of(_mtcs, _random_mtcs))
+def test_cached_string_is_invisible_to_the_value(mtc):
+    plain = _fresh(mtc)
+    serialize(mtc)
+    assert "_canonical" in vars(mtc) and "_canonical" not in vars(plain)
+    assert mtc == plain and plain == mtc
+    assert hash(mtc) == hash(plain)
+    assert repr(mtc) == repr(plain)
+    assert "_canonical" not in repr(mtc)
+    assert [f.name for f in dataclasses.fields(mtc)] == [f.name for f in dataclasses.fields(plain)]
+    assert mtc_to_dict(mtc) == mtc_to_dict(plain)
+    for value in (mtc, plain):
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == value and repr(loaded) == repr(value)
+        assert serialize(loaded) == grammar._render(value)
+
+
+@given(st.one_of(_mtcs, _random_mtcs))
+def test_with_negated_of_a_serialized_value_gets_its_own_string(mtc):
+    text = serialize(mtc)
+    flipped = with_negated(mtc, not mtc.negated)
+    assert serialize(flipped) == grammar._render(flipped) != text
+    assert serialize(with_negated(flipped, mtc.negated)) == text
+    assert serialize(mtc) is text
+
+
+def test_serialize_of_a_non_mtc_raises_type_error():
+    for value in ("3 times day", 3, SAME_TIME, ClockTime(9), None):
+        with pytest.raises(TypeError, match="not an MTC value"):
+            serialize(value)

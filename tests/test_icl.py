@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -316,6 +317,14 @@ def test_fewshot_set_value_semantics(pool):
     assert len({fewshot, copy, replace(fewshot)}) == 1
 
 
+def test_fewshot_ids_are_settled_at_construction(pool):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    assert fewshot.ids is fewshot.ids
+    assert fewshot.ids == frozenset(pair.dug.id for pair in fewshot.pairs)
+    copy = pickle.loads(pickle.dumps(fewshot))
+    assert copy.ids == fewshot.ids and copy.ids is copy.ids
+
+
 def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool):
     fewshot = _fewshot(pool)
     strategy = PromptStrategy.specialized()
@@ -342,12 +351,27 @@ def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool):
         sys.setswitchinterval(interval)
 
 
-def test_import_leaves_requests_unloaded():
+def _in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(mtckit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_requests_unloaded():
     code = "import sys, mtckit; sys.exit('requests' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _in_fresh_interpreter(code).returncode == 0
+
+
+def test_import_leaves_hashlib_and_thread_pool_unloaded():
+    code = "import sys, mtckit; print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    completed = _in_fresh_interpreter(code)
+    assert completed.returncode == 0 and completed.stdout.strip() == "[]"
+
+
+def test_prompt_fingerprint_is_sha256_of_utf8():
+    for prompt in ("", "a prompt", "Tablette zweimal täglich einnehmen \u2013 ✓"):
+        assert prompt_fingerprint(prompt) == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------- clients
