@@ -58,9 +58,7 @@ from .grammar import (
 )
 from .normalize import (
     NormalizationResult,
-    NotANumberError,
     normalize_activity,
-    normalize_number,
     normalize_raw_output,
 )
 from .rulebase import TypePrediction, TypeRule, classify_types, evaluate_type_classifier

@@ -573,6 +573,10 @@ def dedup_mtcs(items: list[Mtc]) -> tuple[Mtc, ...]:
     return tuple(out)
 
 
+#: What separates the constraints of a compound string: ``;`` or a newline.
+SEGMENT_SEPARATOR = re.compile(r"[;\n]")
+
+
 def parse_mtc_list(text: str) -> MtcListResult:
     """Parse a compound string (segments separated by ``;`` or newlines).
 
@@ -582,7 +586,7 @@ def parse_mtc_list(text: str) -> MtcListResult:
     """
     mtcs: list[Mtc] = []
     invalid: list[InvalidSegment] = []
-    for segment in re.split(r"[;\n]", text or ""):
+    for segment in SEGMENT_SEPARATOR.split(text or ""):
         stripped = segment.strip()
         if not stripped:
             continue

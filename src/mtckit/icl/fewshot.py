@@ -12,9 +12,7 @@ evaluation (see the leakage guard in extraction).
 from __future__ import annotations
 
 import random
-import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..dataset import Dug
@@ -66,55 +64,23 @@ class FewShotPair:
         return record
 
 
-class _ValueToken:
-    """Shared by every :class:`FewShotSet` of one value; alive while any of them is."""
-
-    __slots__ = ("__weakref__",)
-
-
-_VALUE_TOKENS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_VALUE_TOKENS_LOCK = threading.Lock()
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FewShotSet:
     """The fixed example set shown in every prompt.
 
-    Sets compare and hash by value. Both, and the guideline ``ids``, are
-    settled once, at construction: the set keys the prompt-prefix cache on
-    every build and its ids guard every extraction, and walking its pairs
-    there would cost more than the cache saves. Equal sets share one
-    value token, so comparing them is an identity check.
+    Sets compare and hash by value. The guideline ``ids`` guard every
+    extraction, so they are settled once, at construction.
+    :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
+    renders for a set in that set's ``__dict__``, so they live exactly as
+    long as the set.
     """
 
     pairs: tuple[FewShotPair, ...]
     gaps: tuple[str, ...] = ()
+    ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        value = (self.pairs, self.gaps)
-        with _VALUE_TOKENS_LOCK:
-            token = _VALUE_TOKENS.get(value)
-            if token is None:
-                token = _VALUE_TOKENS[value] = _ValueToken()
-        object.__setattr__(self, "_token", token)
-        object.__setattr__(self, "_hash", hash(value))
-        object.__setattr__(self, "_ids", frozenset(pair.dug.id for pair in self.pairs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FewShotSet):
-            return NotImplemented
-        return self._token is other._token
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: tokens and string hashes are per process.
-        return FewShotSet, (self.pairs, self.gaps)
-
-    @property
-    def ids(self) -> frozenset[str]:
-        return self._ids
+        object.__setattr__(self, "ids", frozenset(pair.dug.id for pair in self.pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -18,9 +18,9 @@ prompt; identical inputs produce byte-identical prompts.
 Everything before the query (the header with its grammar, activity and
 type-guide slots filled, plus every few-shot example block) depends only
 on the template, the few-shot set and the constraint type, so it is
-rendered once per such triple and memoized in a bounded LRU cache; each
-:func:`build_prompt` call then validates its arguments, fills the query
-and appends it to the cached prefix.
+rendered once per template and type and kept on the few-shot set, which
+frees it with the set; each :func:`build_prompt` call then validates its
+arguments, fills the query and appends it to the kept prefix.
 """
 
 from __future__ import annotations
@@ -176,7 +176,12 @@ def _fill(text: str, slots: dict[str, str]) -> str:
     return _SLOT.sub(lambda m: slots.get(m.group(1), m.group(0)), text)
 
 
-@functools.lru_cache(maxsize=128)
+#: Key of a few-shot set's rendered prefixes, by (template, type), in its
+#: ``__dict__``. It is not a dataclass field, so equality, hashing and repr
+#: ignore it.
+_PREFIXES = "_prefixes"
+
+
 def _render_prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> str:
     """Header and every example block, joined: the part of a prompt before the query."""
     slots = {
@@ -217,8 +222,14 @@ def build_prompt(
     elif mtc_type is not None:
         raise StrategyMismatchError(f"{template.strategy_kind} template takes no mtc_type")
 
+    # Two threads racing on a first build store equal strings.
+    key = (template, mtc_type)
+    prefixes = fewshot.__dict__.setdefault(_PREFIXES, {})
+    prefix = prefixes.get(key)
+    if prefix is None:
+        prefix = prefixes.setdefault(key, _render_prefix(template, fewshot, mtc_type))
     query = template.query_format.replace("{text}", dug.text)
-    prompt = f"{_render_prefix(template, fewshot, mtc_type)}\n\n{query}"
+    prompt = f"{prefix}\n\n{query}"
     if prompt.count(query) != 1:
         raise PromptBuildError("query block must appear exactly once in the rendered prompt")
     return prompt

@@ -7,15 +7,14 @@ minimal: it never repairs semantics (an ``OR``-joined alternative is left
 intact so it fails validity downstream), it only canonicalizes surface noise.
 
 Activity aliases live in a plain-text table (``alias<TAB>canonical``, ``#``
-comments) shipped with the package and overridable per call, so corpora with
-new activity vocabulary can extend them without code changes.
+comments) shipped with the package, so new activity vocabulary needs no code
+change.
 
 Model answers repeat a narrow vocabulary, so :func:`normalize_raw_output`
-and :func:`normalize_activity` under the default alias table each keep the
-results of the last ``NORMALIZE_CACHE_SIZE`` distinct strings in an LRU
-cache; the results are immutable, so callers share one value. Number
-words come from :data:`mtckit.grammar.NUMBER_WORDS`, and only ASCII digits
-count as a number.
+and :func:`normalize_activity` each keep the results of the last
+``NORMALIZE_CACHE_SIZE`` distinct strings in an LRU cache; the results are
+immutable, so callers share one value, and ``__wrapped__`` is the uncached
+function. Number words and time units come from :mod:`mtckit.grammar`.
 """
 
 from __future__ import annotations
@@ -25,20 +24,15 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grammar import NUMBER_WORDS
+from .grammar import NUMBER_WORDS, SEGMENT_SEPARATOR, TimeUnit
 from .tables import DATA, read_table
 
-
-class NotANumberError(ValueError):
-    """A token is neither an ASCII digit string nor a known number word."""
-
-
-#: Distinct raw outputs whose normalization under the default alias table is kept.
+#: Distinct strings whose normalization each memoized function keeps.
 NORMALIZE_CACHE_SIZE = 1024
 
 _NUMBER_DIGITS = {word: str(value) for word, value in NUMBER_WORDS.items()}
 
-_PLURAL_UNITS = {"minutes": "minute", "hours": "hour", "days": "day", "weeks": "week"}
+_PLURAL_UNITS = {unit.value + "s": unit.value for unit in TimeUnit}
 
 # Fixed prefix list; longer instruction repair is out of scope.
 _INSTRUCTION_STUBS = ("take ", "taken ", "taking ", "use ")
@@ -62,41 +56,14 @@ def _default_aliases() -> dict[str, str]:
     return load_alias_table(DATA / "activity_aliases.txt")
 
 
-def normalize_number(token: str) -> int:
-    """Positive integer from an ASCII digit string or a number word one..twelve."""
-    token = token.strip().lower()
-    if not token:
-        raise NotANumberError("empty token")
-    if token.isascii() and token.isdigit():
-        value = int(token)
-        if value < 1:
-            raise NotANumberError(f"not a positive count: {token!r}")
-        return value
-    if token in NUMBER_WORDS:
-        return NUMBER_WORDS[token]
-    raise NotANumberError(f"not a number: {token!r}")
-
-
-def normalize_activity(activity: str, aliases: dict[str, str] | None = None) -> str:
-    """Canonical activity phrase: alias table applied, else lowercased and collapsed.
-
-    With the default alias table (``aliases is None``) results are memoized
-    per string, so equal inputs share one result string; an explicit table
-    is applied uncached.
-    """
-    if aliases is None:
-        return _normalize_activity_memo(activity)
-    return _normalize_activity(activity, aliases)
-
-
 @functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
-def _normalize_activity_memo(activity: str) -> str:
-    return _normalize_activity(activity, _default_aliases())
+def normalize_activity(activity: str) -> str:
+    """Canonical activity phrase: default alias table applied, else lowercased and collapsed.
 
-
-def _normalize_activity(activity: str, table: dict[str, str]) -> str:
+    Memoized per string, so equal inputs share one result string.
+    """
     folded = " ".join(activity.lower().split())
-    return table.get(folded, folded)
+    return _default_aliases().get(folded, folded)
 
 
 @dataclass(frozen=True)
@@ -143,8 +110,9 @@ def _strip_instruction_stub(segment: str) -> str:
     return ("not " + segment) if negated else segment
 
 
-def _apply_activity_alias(tokens: list[str], aliases: dict[str, str]) -> list[str]:
+def _apply_activity_alias(tokens: list[str]) -> list[str]:
     # The activity slot is whatever follows the first dependency preposition.
+    aliases = _default_aliases()
     for i, token in enumerate(tokens):
         if token in ("before", "after"):
             tail = " ".join(tokens[i + 1:])
@@ -154,7 +122,8 @@ def _apply_activity_alias(tokens: list[str], aliases: dict[str, str]) -> list[st
     return tokens
 
 
-def normalize_raw_output(raw: str, aliases: dict[str, str] | None = None) -> NormalizationResult:
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+def normalize_raw_output(raw: str) -> NormalizationResult:
     """Reduce one raw completion to candidate constraint strings.
 
     Pipeline: trim and unwrap the raw text; map a bare ``NONE`` answer to
@@ -162,33 +131,21 @@ def normalize_raw_output(raw: str, aliases: dict[str, str] | None = None) -> Nor
     rewrite number words to digits, singularize time units, rewrite
     ``times daily`` to ``times day``, strip a leading instruction stub
     (``take``/``taken``/``taking``/``use``, with ``do not`` folding into
-    ``not``), and apply activity aliases after ``before``/``after``.
-    Segments are never split on ``OR``: an alternative-joined answer stays
-    one candidate and fails validity downstream.
+    ``not``), and apply the default activity aliases after
+    ``before``/``after``. Segments are never split on ``OR``: an
+    alternative-joined answer stays one candidate and fails validity
+    downstream.
 
-    With the default alias table (``aliases is None``) results are memoized
-    per raw string; an explicit table is applied uncached.
+    Memoized per raw string; the result is frozen and holds only tuples,
+    so every caller can share it.
     """
-    if aliases is None:
-        return _normalize_memo(raw)
-    return _normalize(raw, aliases)
-
-
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
-def _normalize_memo(raw: str) -> NormalizationResult:
-    # The result is frozen and holds only tuples, so every caller can share it.
-    return _normalize(raw, _default_aliases())
-
-
-def _normalize(raw: str, table: dict[str, str]) -> NormalizationResult:
-    """:func:`normalize_raw_output` under ``table``, without the memo."""
     text = _strip_wrapping(raw or "")
     if " ".join(text.lower().split()) == "none":
         return NormalizationResult(())
 
     candidates: list[str] = []
     dropped: list[DroppedSegment] = []
-    for segment in re.split(r"[;\n]", text):
+    for segment in SEGMENT_SEPARATOR.split(text):
         original = segment.strip()
         if not original:
             continue
@@ -204,7 +161,7 @@ def _normalize(raw: str, table: dict[str, str]) -> NormalizationResult:
         for i in range(1, len(tokens)):
             if tokens[i] == "daily" and tokens[i - 1] == "times":
                 tokens[i] = "day"
-        tokens = _apply_activity_alias(tokens, table)
+        tokens = _apply_activity_alias(tokens)
         candidate = " ".join(tokens)
         if candidate:
             candidates.append(candidate)

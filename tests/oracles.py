@@ -15,7 +15,7 @@ from datetime import time, timedelta
 from fractions import Fraction
 
 from mtckit import grammar
-from mtckit.normalize import default_activity_aliases, normalize_activity
+from mtckit.normalize import normalize_activity
 
 UNDEFINED = "undefined"
 
@@ -269,7 +269,7 @@ def _oracle_verdict(mtc, timeline, cfg) -> tuple[str, str]:
         return "satisfied", f"all {len(intakes) - 1} consecutive gap(s) are {relation} {bound}"
 
     if isinstance(mtc, (grammar.DefinitiveDependency, grammar.ImpreciseDependency)):
-        wanted = normalize_activity(mtc.activity, default_activity_aliases())
+        wanted = normalize_activity.__wrapped__(mtc.activity)
         matching = [e for e in timeline.events if e.kind == "activity" and e.name == wanted]
         if not matching:
             return "indeterminate", f"no {mtc.activity!r} activity events observed in window"

@@ -265,6 +265,13 @@ def test_count_must_be_positive():
         Frequency(0, TimeUnit.DAY)
 
 
+@pytest.mark.parametrize("token", ["dozen", "many", "0", "-3", "3.5", "²", "٣", "1²"])
+@pytest.mark.parametrize("form", ["{} times day", "{} hour apart", "{} minute before eating"])
+def test_parse_rejects_a_count_that_is_not_a_positive_ascii_integer(token, form):
+    with pytest.raises(NonvalidMtcError):
+        parse_mtc(form.format(token))
+
+
 def test_parse_mtc_list_compound():
     result = parse_mtc_list("2 hour before eating; 3 times day; 4 hour apart")
     assert [mtc_type(m) for m in result.mtcs] == [1, 2, 3]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,21 +249,32 @@ def _probes(kind):
     return (1, 2, 3, 4, 5, 6, 7) if kind == "specialized" else (None,)
 
 
+@pytest.fixture
+def prefix_renders(monkeypatch) -> list:
+    """Each (template, few-shot set, type) that ``build_prompt`` renders a prefix for."""
+    renders = []
+    render = prompts._render_prefix
+
+    def counting(template, fewshot, mtc_type):
+        renders.append((template, id(fewshot), mtc_type))
+        return render(template, fewshot, mtc_type)
+
+    monkeypatch.setattr(prompts, "_render_prefix", counting)
+    return renders
+
+
 @pytest.mark.parametrize("kind", ["simple", "guided", "specialized"])
-def test_cached_prompt_matches_reference(pool, kind):
+def test_cached_prompt_matches_reference(pool, kind, prefix_renders):
     fewshot = select_fewshot(pool, k=8, seed=0)
     template = default_template(kind)
     dugs = [make_dug(f"q{i}", f"Take dose {i} twice daily.", []) for i in range(3)]
-    prompts._render_prefix.cache_clear()
     for _ in range(2):  # cold, then warm
         for dug in dugs:
             for t in _probes(kind):
                 assert build_prompt(template, fewshot, dug, t) == _reference_prompt(
                     template, fewshot, dug, t
                 )
-    info = prompts._render_prefix.cache_info()
-    assert info.misses == len(_probes(kind))
-    assert info.hits == 6 * len(_probes(kind)) - info.misses
+    assert prefix_renders == [(template, id(fewshot), t) for t in _probes(kind)]
 
 
 def test_equal_fewshot_sets_share_a_prefix_distinct_ones_do_not(pool):
@@ -272,13 +285,20 @@ def test_equal_fewshot_sets_share_a_prefix_distinct_ones_do_not(pool):
     other = fewshot_from_dugs(pool[6:])
     assert first == twin and first is not twin and hash(first) == hash(twin)
     assert edited.ids == first.ids and edited != first
-    prompts._render_prefix.cache_clear()
     for fewshot in (first, twin, edited, other, twin):
         for t in (2, 4):
             assert build_prompt(template, fewshot, dug, t) == _reference_prompt(
                 template, fewshot, dug, t
             )
-    assert prompts._render_prefix.cache_info().misses == 6  # 3 distinct values x 2 types
+
+
+def test_fewshot_set_is_freed_after_its_last_prompt(pool):
+    fewshot = select_fewshot(pool, k=8, seed=0)
+    build_prompt(default_template("guided"), fewshot, make_dug("q", "Take it twice daily.", []))
+    ref = weakref.ref(fewshot)
+    del fewshot
+    gc.collect()
+    assert ref() is None
 
 
 def test_templates_differing_only_in_example_format_keep_their_prefixes(pool):
@@ -325,7 +345,7 @@ def test_fewshot_ids_are_settled_at_construction(pool):
     assert copy.ids == fewshot.ids and copy.ids is copy.ids
 
 
-def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool):
+def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool, prefix_renders):
     fewshot = _fewshot(pool)
     strategy = PromptStrategy.specialized()
     template = default_template("specialized")
@@ -343,9 +363,11 @@ def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool):
         deadline = time.monotonic() + 2.0
         rounds = 0
         while rounds < 3 or (rounds < 20 and time.monotonic() < deadline):
-            prompts._render_prefix.cache_clear()
-            records = iter_extract_corpus(dugs, strategy, fewshot, client, parallelism=8)
+            cold = _fewshot(pool)  # equal to ``fewshot``, with no prefix rendered yet
+            del prefix_renders[:]
+            records = iter_extract_corpus(dugs, strategy, cold, client, parallelism=8)
             assert [r.to_dict() for r in records] == expected
+            assert {(t, n) for _, n, t in prefix_renders} == {(t, id(cold)) for t in strategy.types}
             rounds += 1
     finally:
         sys.setswitchinterval(interval)

@@ -10,11 +10,9 @@ from hypothesis import given, strategies as st
 from mtckit import grammar, normalize, rulebase
 from mtckit.normalize import (
     NORMALIZE_CACHE_SIZE,
-    NotANumberError,
     default_activity_aliases,
     load_alias_table,
     normalize_activity,
-    normalize_number,
     normalize_raw_output,
 )
 
@@ -107,23 +105,11 @@ def test_normalize_activity(activity, expected):
     assert normalize_activity(activity) == expected
 
 
-@pytest.mark.parametrize("token, expected", [("three", 3), ("30", 30), ("twelve", 12), ("1", 1)])
-def test_normalize_number(token, expected):
-    assert normalize_number(token) == expected
-
-
-@pytest.mark.parametrize("token", ["dozen", "", "0", "-3", "3.5", "many", "²", "٣", "1²"])
-def test_normalize_number_rejects(token):
-    with pytest.raises(NotANumberError):
-        normalize_number(token)
-
-
 def test_alias_table_round_trip(tmp_path):
     path = tmp_path / "aliases.txt"
     path.write_text("# comment\nsupper\teating\n\nnap time\tsleep\n", encoding="utf-8")
     table = load_alias_table(path)
     assert table == {"supper": "eating", "nap time": "sleep"}
-    assert normalize_raw_output("before supper", table).candidates == ("before eating",)
 
 
 def test_alias_table_rejects_malformed(tmp_path):
@@ -217,26 +203,9 @@ _raw_outputs = st.one_of(
 
 @given(_raw_outputs)
 def test_memoized_normalization_equals_uncached(raw):
-    expected = normalize._normalize(raw, default_activity_aliases())
+    expected = normalize_raw_output.__wrapped__(raw)
     assert normalize_raw_output(raw) == expected  # cold or warm
     assert normalize_raw_output(raw) == expected  # warm
-
-
-@given(_raw_outputs)
-def test_explicit_alias_table_runs_uncached(raw):
-    table = {"meals": "supper"}
-    before = normalize._normalize_memo.cache_info()
-    assert normalize_raw_output(raw, table) == normalize._normalize(raw, table)
-    after = normalize._normalize_memo.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
-
-
-def test_explicit_alias_table_is_applied_despite_a_warm_cache():
-    assert candidates("before bedtime") == ("before sleep",)
-    assert normalize_raw_output("before bedtime", {"bedtime": "lights out"}).candidates == (
-        "before lights out",
-    )
-    assert candidates("before bedtime") == ("before sleep",)
 
 
 _activity_phrases = st.one_of(
@@ -250,25 +219,15 @@ _activity_phrases = st.one_of(
 
 @given(_activity_phrases)
 def test_memoized_activity_equals_uncached(phrase):
-    expected = normalize._normalize_activity(phrase, default_activity_aliases())
+    expected = normalize_activity.__wrapped__(phrase)
     assert normalize_activity(phrase) == expected  # cold or warm
     assert normalize_activity(phrase) is normalize_activity(phrase)  # one shared string
-    assert normalize_activity(phrase, default_activity_aliases()) == expected
-
-
-@given(_activity_phrases)
-def test_activity_with_explicit_table_runs_uncached(phrase):
-    table = {"sleeping": "nap"}
-    before = normalize._normalize_activity_memo.cache_info()
-    assert normalize_activity(phrase, table) == normalize._normalize_activity(phrase, table)
-    after = normalize._normalize_activity_memo.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_normalize_cache_is_bounded():
     assert NORMALIZE_CACHE_SIZE == 1024
-    assert normalize._normalize_memo.cache_info().maxsize == NORMALIZE_CACHE_SIZE
-    assert normalize._normalize_activity_memo.cache_info().maxsize == NORMALIZE_CACHE_SIZE
+    assert normalize_raw_output.cache_info().maxsize == NORMALIZE_CACHE_SIZE
+    assert normalize_activity.cache_info().maxsize == NORMALIZE_CACHE_SIZE
 
 
 def test_number_words_come_from_the_grammar():
@@ -277,6 +236,6 @@ def test_number_words_come_from_the_grammar():
         "seven", "eight", "nine", "ten", "eleven", "twelve",
     ]
     for word, value in grammar.NUMBER_WORDS.items():
-        assert normalize_number(word) == value
+        assert grammar.parse_mtc(f"{word} times day").n == value
         assert candidates(f"{word} times daily") == (f"{value} times day",)
         assert rulebase.compile_pattern("{num} times").search(f"take {word} times a day")
