@@ -174,7 +174,7 @@ def load_timeline(
             events.append(
                 TimelineEvent(record["kind"], record["name"], parse_timestamp(record["timestamp"]))
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: bad timeline record: {exc}") from None
     return Timeline.build(events, window)
 

@@ -134,28 +134,28 @@ class AbbreviationRule:
 
     abbrev: str
     label: str
-    mtc_type: int
 
     def __post_init__(self) -> None:
         if not self.abbrev:
             raise ValueError("abbreviation must be nonempty")
-        parsed = parse_mtc(self.label)  # raises NonvalidMtcError on bad label
-        if mtc_type(parsed) != self.mtc_type:
-            raise ValueError(
-                f"label {self.label!r} is type {mtc_type(parsed)}, rule says {self.mtc_type}"
-            )
+        parse_mtc(self.label)  # raises NonvalidMtcError on bad label
+
+    @property
+    def mtc_type(self) -> int:
+        """The constraint type of ``label``."""
+        return mtc_type(parse_mtc(self.label))
 
 
 #: The eight sig abbreviations with a one-to-one constraint mapping.
 DEFAULT_ABBREVIATION_RULES = (
-    AbbreviationRule("b.i.d.", "2 times day", 2),
-    AbbreviationRule("q.d.", "1 times day", 2),
-    AbbreviationRule("q.h.", "1 times hour", 2),
-    AbbreviationRule("q.i.d.", "4 times day", 2),
-    AbbreviationRule("t.i.d.", "3 times day", 2),
-    AbbreviationRule("h.s.", "before sleep", 4),
-    AbbreviationRule("p.c.", "after eating", 4),
-    AbbreviationRule("a.c.", "before eating", 4),
+    AbbreviationRule("b.i.d.", "2 times day"),
+    AbbreviationRule("q.d.", "1 times day"),
+    AbbreviationRule("q.h.", "1 times hour"),
+    AbbreviationRule("q.i.d.", "4 times day"),
+    AbbreviationRule("t.i.d.", "3 times day"),
+    AbbreviationRule("h.s.", "before sleep"),
+    AbbreviationRule("p.c.", "after eating"),
+    AbbreviationRule("a.c.", "before eating"),
 )
 
 # Dotted tokens that must not end a sentence during splitting.
@@ -178,24 +178,19 @@ def _abbrev_regex(abbrev: str) -> re.Pattern:
     )
 
 
-def extract_ehr_statements(
-    report_text: str,
-    rules: Sequence[AbbreviationRule] = DEFAULT_ABBREVIATION_RULES,
-    min_tokens: int = 4,
-    max_tokens: int = 60,
-    id_prefix: str = "ehr",
-) -> list[Dug]:
+def extract_ehr_statements(report_text: str, min_tokens: int = 4, max_tokens: int = 60) -> list[Dug]:
     """Mine single-sentence statements containing sig abbreviations.
 
     A sentence becomes a labeled statement when it contains at least one
-    rule abbreviation and its whitespace-token count lies in
-    ``[min_tokens, max_tokens]``; its labels are the union of all matched
-    rules' labels.
+    of the :data:`DEFAULT_ABBREVIATION_RULES` abbreviations and its
+    whitespace-token count lies in ``[min_tokens, max_tokens]``; its labels
+    are the union of all matched rules' labels, and its id is
+    ``ehr-NNNN``, numbered from 1 in report order.
     """
     if min_tokens > max_tokens:
         raise ValueError(f"min_tokens {min_tokens} exceeds max_tokens {max_tokens}")
-    guards = [rule.abbrev for rule in rules] + list(_EXTRA_GUARDS)
-    matchers = [(rule, _abbrev_regex(rule.abbrev)) for rule in rules]
+    guards = [rule.abbrev for rule in DEFAULT_ABBREVIATION_RULES] + list(_EXTRA_GUARDS)
+    matchers = [(rule, _abbrev_regex(rule.abbrev)) for rule in DEFAULT_ABBREVIATION_RULES]
     dugs: list[Dug] = []
     for sentence in _split_sentences(report_text, guards):
         matched = [rule for rule, rx in matchers if rx.search(sentence)]
@@ -204,7 +199,7 @@ def extract_ehr_statements(
         if not min_tokens <= len(sentence.split()) <= max_tokens:
             continue
         labels = dedup_mtcs([parse_mtc(rule.label) for rule in matched])
-        dugs.append(Dug(f"{id_prefix}-{len(dugs) + 1:04d}", "ehr", sentence, labels))
+        dugs.append(Dug(f"ehr-{len(dugs) + 1:04d}", "ehr", sentence, labels))
     return dugs
 
 

@@ -2,8 +2,9 @@
 
 The wire protocol is a single JSON POST to a configurable base URL with a
 flat body ``{model, prompt | messages, temperature, max_tokens}``; the
-completion text is read from ``choices[0].text`` (prompt mode) or
-``choices[0].message.content`` (messages mode), falling back to a
+``model`` is the client's own, the decoding settings come with each
+request. The completion text is read from ``choices[0].text`` (prompt
+mode) or ``choices[0].message.content`` (messages mode), falling back to a
 top-level ``text`` key. The API key comes from the ``MTC_API_KEY``
 environment variable unless given explicitly.
 
@@ -31,7 +32,6 @@ class CompletionRequest:
     prompt: str
     temperature: float = 0.0
     max_tokens: int = 256
-    model: str = ""
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class HttpCompletionClient:
 
     def _body(self, request: CompletionRequest) -> dict:
         body: dict = {
-            "model": request.model or self.model,
+            "model": self.model,
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }

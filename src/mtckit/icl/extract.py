@@ -89,13 +89,14 @@ def extract(
     templates: Mapping[str, PromptTemplate] | None = None,
     temperature: float = 0.0,
     max_tokens: int = 256,
-    model: str = "",
 ) -> ExtractionRecord:
     """Extract constraints for one guideline.
 
     Simple and guided strategies issue one completion call; specialized
     issues one call per included type and merges the per-type results.
-    Raises :class:`FewShotLeakageError` if ``dug`` is a few-shot example.
+    Every request carries ``temperature`` and ``max_tokens``; the model is
+    the client's. Raises :class:`FewShotLeakageError` if ``dug`` is a
+    few-shot example.
     """
     if dug.id in fewshot.ids:
         raise FewShotLeakageError(f"guideline {dug.id!r} is in the few-shot set")
@@ -106,7 +107,7 @@ def extract(
     error: str | None = None
     for probe in probe_types:
         prompt = build_prompt(template, fewshot, dug, mtc_type=probe)
-        request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens, model=model)
+        request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens)
         try:
             response = client.complete(request)
         except Exception as exc:  # any client failure marks the record failed
@@ -156,8 +157,9 @@ def iter_extract_corpus(
 ) -> Iterator[ExtractionRecord]:
     """Yield records in input order as they become available.
 
-    ``parallelism`` bounds concurrent completion calls; emission order is
-    the input order regardless of completion order. At most
+    ``request_options`` (``temperature``, ``max_tokens``) go to
+    :func:`extract`. ``parallelism`` bounds concurrent completion calls;
+    emission order is the input order regardless of completion order. At most
     ``2 * parallelism`` guidelines are taken from ``dugs`` ahead of the
     records yielded so far, so output can be streamed without holding a
     whole corpus in memory. Closing the iterator cancels the guidelines

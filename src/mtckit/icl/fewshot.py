@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..dataset import Dug
 from ..grammar import mtc_type
@@ -64,6 +64,12 @@ class FewShotPair:
         return record
 
 
+#: Key of a few-shot set's rendered prompt prefixes, by (template, type), in
+#: its ``__dict__``. It is not a dataclass field, so equality, hashing and
+#: repr ignore it.
+_PREFIXES = "_prefixes"
+
+
 @dataclass(frozen=True)
 class FewShotSet:
     """The fixed example set shown in every prompt.
@@ -72,7 +78,8 @@ class FewShotSet:
     extraction, so they are settled once, at construction.
     :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
     renders for a set in that set's ``__dict__``, so they live exactly as
-    long as the set.
+    long as the set. A pickled set leaves them out: they are rendered from
+    the package data of the process that built them.
     """
 
     pairs: tuple[FewShotPair, ...]
@@ -81,6 +88,9 @@ class FewShotSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", frozenset(pair.dug.id for pair in self.pairs))
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != _PREFIXES}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -100,13 +110,12 @@ def gold_answer(dug: Dug, mtc_type_filter: int | None = None) -> str:
     return "; ".join(labels) if labels else "NONE"
 
 
-def _pair(dug: Dug, difficulty: Mapping[str, bool] | None) -> FewShotPair:
-    difficult = difficulty[dug.id] if difficulty and dug.id in difficulty else is_difficult(dug)
+def _pair(dug: Dug) -> FewShotPair:
     coverage = PairCoverage(
         types=frozenset(mtc_type(m) for m in dug.labels),
         empty=not dug.labels,
         multiple=len(dug.labels) >= 2,
-        difficult=difficult,
+        difficult=is_difficult(dug),
     )
     return FewShotPair(dug, gold_answer(dug), coverage)
 
@@ -114,22 +123,15 @@ def _pair(dug: Dug, difficulty: Mapping[str, bool] | None) -> FewShotPair:
 _PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
 
 
-def fewshot_from_dugs(
-    dugs: Sequence[Dug], difficulty: Mapping[str, bool] | None = None
-) -> FewShotSet:
+def fewshot_from_dugs(dugs: Sequence[Dug]) -> FewShotSet:
     """Wrap an already-chosen example list (e.g. read back from a file)."""
-    pairs = tuple(_pair(dug, difficulty) for dug in dugs)
+    pairs = tuple(_pair(dug) for dug in dugs)
     present = set().union(*(p.coverage.strata() for p in pairs)) if pairs else set()
     gaps = tuple(s for s in _PAIRED_STRATA if s not in present)
     return FewShotSet(pairs, gaps)
 
 
-def select_fewshot(
-    pool: Sequence[Dug],
-    k: int = 20,
-    seed: int = 0,
-    difficulty: Mapping[str, bool] | None = None,
-) -> FewShotSet:
+def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSet:
     """Pick ``k`` examples from ``pool``: greedy stratum coverage, seeded fill.
 
     Guarantees (or raises :class:`InsufficientPoolError`): every constraint
@@ -140,7 +142,7 @@ def select_fewshot(
     """
     if k > len(pool):
         raise InsufficientPoolError(f"k={k} exceeds pool size {len(pool)}")
-    pairs = {dug.id: _pair(dug, difficulty) for dug in pool}
+    pairs = {dug.id: _pair(dug) for dug in pool}
     if len(pairs) != len(pool):
         raise InsufficientPoolError("pool contains duplicate guideline ids")
 

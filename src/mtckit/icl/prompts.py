@@ -34,7 +34,7 @@ from .. import grammar
 from ..dataset import Dug
 from ..normalize import default_activity_aliases
 from ..tables import DATA, read_table
-from .fewshot import FewShotSet, gold_answer
+from .fewshot import _PREFIXES, FewShotSet, gold_answer
 
 #: Constraint types probed by the specialized strategy. Type 5 is excluded
 #: by default: it is vanishingly rare in the gold corpora, so there is no
@@ -174,12 +174,6 @@ _SLOT = re.compile(r"\{(\w+)\}")
 def _fill(text: str, slots: dict[str, str]) -> str:
     """Replace every ``{name}`` slot in one pass; unknown names stay as written."""
     return _SLOT.sub(lambda m: slots.get(m.group(1), m.group(0)), text)
-
-
-#: Key of a few-shot set's rendered prefixes, by (template, type), in its
-#: ``__dict__``. It is not a dataclass field, so equality, hashing and repr
-#: ignore it.
-_PREFIXES = "_prefixes"
 
 
 def _render_prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .grammar import NUMBER_WORDS, SEGMENT_SEPARATOR, TimeUnit
 from .tables import DATA, read_table
@@ -40,12 +39,6 @@ _INSTRUCTION_STUBS = ("take ", "taken ", "taking ", "use ")
 _QUOTE_PAIRS = [('"', '"'), ("'", "'"), ("`", "`")]
 
 
-def load_alias_table(path: str | Path) -> dict[str, str]:
-    """Read an ``alias<TAB>canonical`` table (UTF-8, ``#`` comments)."""
-    rows = read_table(path, "alias<TAB>canonical", lambda alias, canonical: (alias, canonical))
-    return {" ".join(alias.lower().split()): " ".join(canonical.lower().split()) for alias, canonical in rows}
-
-
 def default_activity_aliases() -> dict[str, str]:
     """Alias table shipped with the package (a copy; the file is read once)."""
     return dict(_default_aliases())
@@ -53,7 +46,8 @@ def default_activity_aliases() -> dict[str, str]:
 
 @functools.cache
 def _default_aliases() -> dict[str, str]:
-    return load_alias_table(DATA / "activity_aliases.txt")
+    rows = read_table(DATA / "activity_aliases.txt", "alias<TAB>canonical", lambda *row: row)
+    return {" ".join(alias.lower().split()): " ".join(canonical.lower().split()) for alias, canonical in rows}
 
 
 @functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)

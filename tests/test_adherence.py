@@ -483,6 +483,7 @@ def test_load_timeline_requires_timezone(tmp_path):
         ('{"kind": ["intake"], "name": "m", "timestamp": "2026-03-02T08:00:00Z"}', "kind must be"),
         ('{"kind": "intake", "name": 7, "timestamp": "2026-03-02T08:00:00Z"}', "name must be a string"),
         ('{"kind": "intake", "name": ["m"], "timestamp": "2026-03-02T08:00:00Z"}', "name must be a string"),
+        pytest.param("[" * 100_000, "maximum recursion depth", id="deep-nesting"),
     ],
 )
 def test_load_timeline_rejects_malformed_records(tmp_path, line, message):

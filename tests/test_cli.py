@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtckit import cli, dataset
-from mtckit.icl import ReplayClient, build_prompt, default_template, fewshot_from_dugs, gold_answer
+from mtckit.icl import (
+    ReplayClient,
+    build_prompt,
+    default_template,
+    fewshot_from_dugs,
+    gold_answer,
+    prompt_fingerprint,
+)
 
 from conftest import make_dug, stratified_pool
 
@@ -238,6 +245,14 @@ def test_adhere_malformed_timeline_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, ["adhere", "--mtc", "2 times day", "--timeline", str(events)])
     assert code == 1
     assert f"{events}:1: bad timeline record" in err
+
+
+def test_adhere_deeply_nested_timeline_exits_one(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    code, _, err = run(capsys, ["adhere", "--mtc", "2 times day", "--timeline", str(events)])
+    assert code == 1
+    assert f"{events}:1: bad timeline record: maximum recursion depth" in err and "Traceback" not in err
 
 
 def test_dataset_stats_non_string_label_exits_one(tmp_path, capsys):
@@ -583,3 +598,61 @@ def test_any_input_file_exits_zero_or_one_without_traceback(input_files, command
         code = cli.main(argv(str(fuzzed), valid))
     assert code in (0, 1)
     assert code == 0 or err.getvalue().startswith(("error: ", "nonvalid: "))
+
+
+# A rule table's fields: constraint types valid and not, and patterns made of
+# placeholders, regex metacharacters, words and arbitrary text.
+_RULE_FIELDS = (
+    st.sampled_from(["1", "2", "7", "0", "8", "x", "٣"])
+    | st.lists(
+        st.sampled_from(["{num}", "{clock}", "{", "}", "(", "\\", "*", " ", "twice", "daily"])
+        | st.text(max_size=3),
+        max_size=4,
+    ).map("".join)
+)
+_RULE_TABLES = st.lists(
+    st.lists(_RULE_FIELDS, min_size=1, max_size=3).map("\t".join), min_size=1, max_size=4
+).map(lambda rows: "\n".join(rows).encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=st.binary(max_size=80) | _RULE_TABLES)
+def test_any_rule_table_exits_zero_or_one_without_traceback(input_files, table):
+    fuzzed, valid = input_files
+    fuzzed.write_bytes(table)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["rules-classify", "--file", valid["corpus"], "--rules", str(fuzzed), "--eval"])
+    assert code in (0, 1)
+    assert code == 0 or err.getvalue().startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def replay_fixture(tmp_path_factory):
+    """A one-guideline simple-strategy extract run and the path of its only fixture."""
+    base = tmp_path_factory.mktemp("replay_fixture")
+    dug, examples = make_dug("a", "Take it twice daily.", ["2 times day"]), stratified_pool()[:4]
+    dataset.dump_dugs([dug], base / "corpus.jsonl")
+    dataset.dump_dugs(examples, base / "fewshot.jsonl")
+    prompt = build_prompt(default_template("simple"), fewshot_from_dugs(examples), dug)
+    argv = ["extract", "--file", str(base / "corpus.jsonl"), "--fewshot", str(base / "fewshot.jsonl"),
+            "--strategy", "simple", "--client", "replay", "--fixtures", str(base)]
+    return argv, base / f"{prompt_fingerprint(prompt)}.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.binary(max_size=80) | st.text(max_size=40).map(lambda text: text.encode("utf-8")))
+def test_any_replay_fixture_gives_its_text_or_a_failed_record(replay_fixture, content):
+    argv, fixture = replay_fixture
+    fixture.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.getvalue().splitlines()]
+    try:
+        text = fixture.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        assert record["error"] and record["raw_outputs"] == [] and record["predictions"] == []
+    else:
+        assert record["error"] is None and [call["text"] for call in record["raw_outputs"]] == [text]

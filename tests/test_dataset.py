@@ -121,9 +121,7 @@ def test_default_rules_are_the_published_eight():
 
 def test_abbreviation_rule_validation():
     with pytest.raises(grammar.NonvalidMtcError):
-        AbbreviationRule("x.y.", "garbage label", 2)
-    with pytest.raises(ValueError):
-        AbbreviationRule("x.y.", "3 times day", 4)  # type mismatch
+        AbbreviationRule("x.y.", "garbage label")
 
 
 def test_extract_plaquenil_statement():

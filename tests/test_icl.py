@@ -19,6 +19,7 @@ import pytest
 import mtckit
 from mtckit import grammar
 from mtckit.icl import (
+    SPECIALIZED_DEFAULT_TYPES,
     CompletionRequest,
     CompletionResponse,
     FewShotLeakageError,
@@ -277,7 +278,7 @@ def test_cached_prompt_matches_reference(pool, kind, prefix_renders):
     assert prefix_renders == [(template, id(fewshot), t) for t in _probes(kind)]
 
 
-def test_equal_fewshot_sets_share_a_prefix_distinct_ones_do_not(pool):
+def test_fewshot_sets_equal_and_hash_by_value_and_render_reference_prompts(pool):
     template = default_template("specialized")
     dug = make_dug("q", "Take it twice daily.", [])
     first, twin = fewshot_from_dugs(pool[:6]), fewshot_from_dugs(pool[:6])
@@ -335,6 +336,19 @@ def test_fewshot_set_value_semantics(pool):
     copy = pickle.loads(pickle.dumps(fewshot))
     assert copy == fewshot and hash(copy) == hash(fewshot)
     assert len({fewshot, copy, replace(fewshot)}) == 1
+
+
+def test_pickled_fewshot_set_leaves_its_prefixes_behind(pool):
+    fewshot = fewshot_from_dugs(pool)
+    template = default_template("specialized")
+    dug = make_dug("q", "Take it twice daily.", [])
+    size = len(pickle.dumps(fewshot))
+    for t in SPECIALIZED_DEFAULT_TYPES:
+        build_prompt(template, fewshot, dug, t)
+    assert len(pickle.dumps(fewshot)) == size
+    copy = pickle.loads(pickle.dumps(fewshot))
+    for t in SPECIALIZED_DEFAULT_TYPES:
+        assert build_prompt(template, copy, dug, t) == _reference_prompt(template, copy, dug, t)
 
 
 def test_fewshot_ids_are_settled_at_construction(pool):

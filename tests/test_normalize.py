@@ -7,11 +7,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from mtckit import grammar, normalize, rulebase
+from mtckit import grammar, normalize, rulebase, tables
 from mtckit.normalize import (
     NORMALIZE_CACHE_SIZE,
     default_activity_aliases,
-    load_alias_table,
     normalize_activity,
     normalize_raw_output,
 )
@@ -105,18 +104,15 @@ def test_normalize_activity(activity, expected):
     assert normalize_activity(activity) == expected
 
 
-def test_alias_table_round_trip(tmp_path):
-    path = tmp_path / "aliases.txt"
-    path.write_text("# comment\nsupper\teating\n\nnap time\tsleep\n", encoding="utf-8")
-    table = load_alias_table(path)
-    assert table == {"supper": "eating", "nap time": "sleep"}
+def _read_alias_table(path):
+    return tables.read_table(path, "alias<TAB>canonical", lambda *row: row)
 
 
 def test_alias_table_rejects_malformed(tmp_path):
     path = tmp_path / "aliases.txt"
     path.write_text("justoneword\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_alias_table(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected 'alias<TAB>canonical'"):
+        _read_alias_table(path)
 
 
 @pytest.mark.parametrize("row", ["justoneword", "supper\t", "supper\teating\textra", "\teating"])
@@ -124,7 +120,7 @@ def test_alias_table_error_names_path_and_line(tmp_path, row):
     path = tmp_path / "aliases.txt"
     path.write_text(f"# comment\n\nsupper\teating\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: expected 'alias<TAB>canonical'"):
-        load_alias_table(path)
+        _read_alias_table(path)
 
 
 def test_default_aliases_read_once_and_copied():
