@@ -17,8 +17,8 @@ from mtckit.icl import (
     build_prompt,
     default_template,
     exclude_fewshot,
-    extract_corpus,
     gold_answer,
+    iter_extract_corpus,
     select_fewshot,
 )
 
@@ -69,7 +69,7 @@ with tempfile.TemporaryDirectory() as tmp:
     template = default_template("simple")
     for d in eval_split:
         client.store(build_prompt(template, fewshot, d), gold_answer(d))
-    records = extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client)
+    records = list(iter_extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client))
 
 print("\nreplay extraction records:")
 for record in records:

@@ -24,6 +24,7 @@ from pathlib import Path
 from . import adherence, dataset, evaluation, grammar, normalize, rulebase
 from .grammar import NonvalidMtcError
 from .icl import (
+    SPECIALIZED_DEFAULT_TYPES,
     HttpCompletionClient,
     PromptStrategy,
     ReplayClient,
@@ -241,18 +242,21 @@ def _build_client(args, config: dict):
     return HttpCompletionClient(http.pop("base_url"), http.pop("model", ""), **http)
 
 
+def _type_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated type numbers, got {text!r}") from None
+
+
 def cmd_extract(args) -> int:
+    strategy = PromptStrategy(args.strategy, args.types)
     config = load_config(args.config)
     dugs = dataset.load_dugs(args.file)
     fewshot = fewshot_from_dugs(dataset.load_dugs(args.fewshot))
     kept = exclude_fewshot(dugs, fewshot)
     if len(kept) != len(dugs):
         _note(f"excluded {len(dugs) - len(kept)} few-shot guideline(s) from extraction")
-    if args.strategy == "specialized":
-        types = tuple(int(t) for t in args.types.split(",")) if args.types else ()
-        strategy = PromptStrategy.specialized(types) if types else PromptStrategy.specialized()
-    else:
-        strategy = PromptStrategy(args.strategy)
     client = _build_client(args, config)
     records = iter_extract_corpus(
         kept, strategy, fewshot, client, parallelism=args.parallelism, **_settings(args, config, "decoding")
@@ -379,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="corpus file (JSON lines)")
     p.add_argument("--fewshot", required=True, help="few-shot examples file (corpus format)")
     p.add_argument("--strategy", choices=("simple", "guided", "specialized"), default="specialized")
-    p.add_argument("--types", help="comma-separated types for specialized (default 1,2,3,4,6,7)")
+    p.add_argument("--types", type=_type_list, default=(), help="comma-separated types, specialized only "
+                   f"(default {','.join(map(str, SPECIALIZED_DEFAULT_TYPES))})")
     p.add_argument("--client", choices=("http", "replay"), default="replay")
     p.add_argument("--fixtures", help="replay fixtures directory")
     p.add_argument("--base-url", help="completion service URL (http client)")

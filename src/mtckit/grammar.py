@@ -128,6 +128,10 @@ def _check_activity(name: str) -> None:
         raise ValueError(f"activity must be a nonempty single-spaced phrase, got {name!r}")
     if name != name.lower():
         raise ValueError(f"activity must be lowercase, got {name!r}")
+    # The only slot that could hold the list separator; one there would
+    # split the canonical string into two segments.
+    if SEGMENT_SEPARATOR.search(name):
+        raise ValueError(f"activity must not contain ';', got {name!r}")
     # Keep dependency forms unambiguous: a phrase that reads as a clock
     # time belongs to the time-dependency form, never to an activity slot.
     if _parse_clock(name) is not None:

@@ -7,20 +7,23 @@ deduplicated constraints. Specialized answers of the wrong type are
 dropped from the forwarded predictions but kept flagged, so per-type
 precision stays meaningful while nothing is lost for audit. A failed
 service call marks the record failed; results are never fabricated.
+
+:func:`iter_extract_corpus` is the one corpus entry point, and every
+prompt renders the template shipped for the strategy kind.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .. import grammar
 from ..dataset import Dug
 from ..normalize import normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
-from .prompts import PromptStrategy, PromptTemplate, build_prompt, default_template
+from .prompts import PromptStrategy, build_prompt, default_template
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -86,7 +89,6 @@ def extract(
     strategy: PromptStrategy,
     fewshot: FewShotSet,
     client: CompletionClient,
-    templates: Mapping[str, PromptTemplate] | None = None,
     temperature: float = 0.0,
     max_tokens: int = 256,
 ) -> ExtractionRecord:
@@ -100,7 +102,7 @@ def extract(
     """
     if dug.id in fewshot.ids:
         raise FewShotLeakageError(f"guideline {dug.id!r} is in the few-shot set")
-    template = (templates or {}).get(strategy.kind) or default_template(strategy.kind)
+    template = default_template(strategy.kind)
 
     probe_types: tuple[int | None, ...] = strategy.types if strategy.kind == "specialized" else (None,)
     raw_outputs: list[RawCall] = []
@@ -152,7 +154,6 @@ def iter_extract_corpus(
     fewshot: FewShotSet,
     client: CompletionClient,
     parallelism: int = 1,
-    templates: Mapping[str, PromptTemplate] | None = None,
     **request_options,
 ) -> Iterator[ExtractionRecord]:
     """Yield records in input order as they become available.
@@ -167,7 +168,7 @@ def iter_extract_corpus(
     """
 
     def worker(dug: Dug) -> ExtractionRecord:
-        return extract(dug, strategy, fewshot, client, templates, **request_options)
+        return extract(dug, strategy, fewshot, client, **request_options)
 
     if parallelism <= 1:
         for dug in dugs:
@@ -189,20 +190,3 @@ def iter_extract_corpus(
         finally:
             for future in pending:
                 future.cancel()
-
-
-def extract_corpus(
-    dugs: Iterable[Dug],
-    strategy: PromptStrategy,
-    fewshot: FewShotSet,
-    client: CompletionClient,
-    parallelism: int = 1,
-    templates: Mapping[str, PromptTemplate] | None = None,
-    **request_options,
-) -> list[ExtractionRecord]:
-    """Extract a whole corpus; the in-memory convenience over the iterator."""
-    return list(
-        iter_extract_corpus(
-            dugs, strategy, fewshot, client, parallelism, templates, **request_options
-        )
-    )

@@ -10,6 +10,8 @@ using ``NONE`` as the empty answer token.
 Prompt texts are external template files (``[header]`` / ``[example]`` /
 ``[query]`` sections) so wording can be tuned without code changes; the
 files shipped as package data are reconstructions, not published prompts.
+Extraction renders the shipped file for its strategy kind; render another
+with ``build_prompt(load_template(path, kind), ...)``.
 Rendering is by literal slot replacement, never ``str.format``, and every
 block fills all of its slots in one pass, so braces in guideline text
 (even a literal ``{answer}``) pass through verbatim and cannot corrupt a
@@ -79,7 +81,7 @@ class PromptStrategy:
         return cls("guided")
 
     @classmethod
-    def specialized(cls, types: tuple[int, ...] = SPECIALIZED_DEFAULT_TYPES) -> "PromptStrategy":
+    def specialized(cls, types: tuple[int, ...] = ()) -> "PromptStrategy":
         return cls("specialized", tuple(types))
 
 
@@ -122,15 +124,11 @@ def load_template(path: str | Path, strategy_kind: str) -> PromptTemplate:
     return PromptTemplate(strategy_kind, header, example, query)
 
 
+@functools.cache
 def default_template(strategy_kind: str) -> PromptTemplate:
-    """Template shipped as package data for a strategy kind."""
+    """Template shipped as package data for a strategy kind, read once."""
     if strategy_kind not in _STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {strategy_kind!r}")
-    return _packaged_template(strategy_kind)
-
-
-@functools.cache
-def _packaged_template(strategy_kind: str) -> PromptTemplate:
     return load_template(DATA / "prompts" / f"{strategy_kind}.txt", strategy_kind)
 
 

@@ -191,6 +191,37 @@ def test_extract_replay_requires_fixtures(tmp_path, pool, capsys):
     assert "--fixtures" in err
 
 
+def _extract_args(*extra):
+    return ["extract", "--file", "corpus.jsonl", "--fewshot", "fewshot.jsonl", *extra]
+
+
+def test_extract_types_parse_to_a_tuple():
+    parser = cli.build_parser()
+    assert parser.parse_args(_extract_args("--types", "2,4")).types == (2, 4)
+    assert parser.parse_args(_extract_args()).types == ()
+
+
+@pytest.mark.parametrize("value", ["x", "1,,2", "", "2.5"])
+def test_extract_malformed_types_is_a_usage_error_naming_the_flag(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_extract_args("--types", value))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --types: expected comma-separated type numbers, got {value!r}" in err
+
+
+@pytest.mark.parametrize("strategy", ["simple", "guided"])
+def test_extract_types_on_a_strategy_without_types_exits_one(tmp_path, pool, capsys, strategy):
+    corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
+    code, out, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", strategy,
+        "--types", "1", "--client", "replay", "--fixtures", str(fixtures),
+    ])
+    assert code == 1
+    assert err == f"error: {strategy} strategy takes no types\n"
+    assert out == ""
+
+
 def test_eval_text_table(tmp_path, pool, capsys):
     gold = tmp_path / "gold.jsonl"
     dataset.dump_dugs(pool[:3], gold)

@@ -86,6 +86,18 @@ def test_load_reports_non_string_id_or_text_by_line(tmp_path):
     assert all("must be strings" in reason for _, reason in err.value.problems)
 
 
+def test_load_rejects_a_gold_label_whose_activity_holds_the_separator(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    rows = [
+        {"id": "a", "source": "fda", "text": "ok", "labels": ["before eating"]},
+        {"id": "b", "source": "fda", "text": "split", "labels": ["before a;b"]},
+    ]
+    path.write_text("\n".join(json.dumps(row) for row in rows), encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2: ") as err:
+        load_dugs(path)
+    assert [line for line, _ in err.value.problems] == [2]
+
+
 def test_load_reports_deep_nesting_by_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("[" * 100_000 + "\n", encoding="utf-8")

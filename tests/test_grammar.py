@@ -260,6 +260,22 @@ def test_activity_validation():
         ImpreciseDependency(DependencyPrep.BEFORE, "9 am")  # clock-shaped
 
 
+@pytest.mark.parametrize(
+    "text", ["before a;b", "not after eating; sleep", "30 minute before a;b", "2 hour after a;b", "before ;"]
+)
+def test_parse_rejects_an_activity_holding_the_list_separator(text):
+    with pytest.raises(NonvalidMtcError, match="must not contain ';'"):
+        parse_mtc(text)
+    assert not is_valid(text)
+
+
+def test_activity_value_rejects_the_list_separator():
+    with pytest.raises(ValueError):
+        ImpreciseDependency(DependencyPrep.BEFORE, "a;b")
+    with pytest.raises(ValueError):
+        DefinitiveDependency(30, TimeUnit.MINUTE, DependencyPrep.BEFORE, "eating;")
+
+
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         Frequency(0, TimeUnit.DAY)
@@ -409,6 +425,27 @@ def test_memoized_parse_equals_uncached_parse(text):
     assert _outcome(parse_mtc, text) == expected  # cold or warm
     assert _outcome(parse_mtc, text) == expected  # warm
     assert is_valid(text) == (expected[0] == "parsed")
+
+
+_separator_texts = st.lists(
+    st.sampled_from(
+        ["not", "3", "times", "day", "30", "minute", "hour", "apart", "before", "after", "in",
+         "eating", "sleep", "morning", "9", "am", ";", "eating;sleep", "a;", ";b", "\n"]
+    ),
+    min_size=1,
+    max_size=6,
+).map(" ".join)
+
+
+@given(st.one_of(_texts, _separator_texts))
+def test_every_accepted_string_serializes_to_one_list_segment(text):
+    try:
+        mtc = parse_mtc(text)
+    except NonvalidMtcError:
+        return
+    result = parse_mtc_list(serialize(mtc))
+    assert result.mtcs == (mtc,)
+    assert result.invalid == ()
 
 
 def test_each_rejection_raises_a_fresh_error():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
+import inspect
 import os
 import pickle
 import subprocess
@@ -34,7 +36,6 @@ from mtckit.icl import (
     default_template,
     exclude_fewshot,
     extract,
-    extract_corpus,
     fewshot_from_dugs,
     gold_answer,
     is_difficult,
@@ -173,6 +174,34 @@ def test_strategy_validation():
         PromptStrategy("weird")
     with pytest.raises(ValueError):
         PromptStrategy("simple", (2,))
+
+
+def test_specialized_default_types_have_one_home():
+    assert PromptStrategy.specialized() == PromptStrategy("specialized") == PromptStrategy("specialized", ())
+    assert PromptStrategy("specialized").types == SPECIALIZED_DEFAULT_TYPES
+    assert inspect.signature(PromptStrategy.specialized).parameters["types"].default == ()
+
+
+def test_default_template_is_read_once_and_rejects_an_unknown_kind_every_time():
+    assert default_template("guided") is default_template("guided")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown strategy 'weird'"):
+            default_template("weird")
+
+
+def test_every_exported_name_exists_and_extraction_has_one_corpus_entry_point():
+    import mtckit.icl as icl
+
+    namespace: dict = {}
+    exec("from mtckit.icl import *", namespace)
+    assert [name for name in icl.__all__ if not hasattr(icl, name)] == []
+    assert set(icl.__all__) <= set(namespace)
+    extract_module = importlib.import_module("mtckit.icl.extract")
+    assert not hasattr(icl, "extract_corpus") and not hasattr(extract_module, "extract_corpus")
+    assert "extract_corpus" not in icl.__all__
+    for fn in (extract, iter_extract_corpus):
+        assert "templates" not in inspect.signature(fn).parameters
+    assert not hasattr(prompts, "_packaged_template")
 
 
 def test_load_template_missing_section(tmp_path):
@@ -694,7 +723,7 @@ def test_any_client_exception_marks_only_its_record_failed(pool, parallelism, ex
     fewshot = _fewshot(pool)
     dugs = [make_dug(f"x{i}", f"Take dose {i} three times daily.", []) for i in range(6)]
     client = _FailingClient(exc, "Take dose 3 three")
-    records = extract_corpus(dugs, PromptStrategy.simple(), fewshot, client, parallelism)
+    records = list(iter_extract_corpus(dugs, PromptStrategy.simple(), fewshot, client, parallelism))
     assert [r.dug_id for r in records] == [d.id for d in dugs]
     assert [r.error for r in records] == [None, None, None, error, None, None]
     assert records[3].raw_outputs == () and records[3].mtcs == ()
@@ -773,10 +802,10 @@ def test_extract_corpus_order_and_determinism(tmp_path, pool):
     template = default_template("simple")
     for dug in eval_split:
         client.store(build_prompt(template, fewshot, dug), gold_answer(dug))
-    first = extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client)
-    second = extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client)
-    parallel = extract_corpus(
-        eval_split, PromptStrategy.simple(), fewshot, client, parallelism=3
+    first = list(iter_extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client))
+    second = list(iter_extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client))
+    parallel = list(
+        iter_extract_corpus(eval_split, PromptStrategy.simple(), fewshot, client, parallelism=3)
     )
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
     assert [r.to_dict() for r in first] == [r.to_dict() for r in parallel]
