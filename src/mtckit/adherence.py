@@ -20,11 +20,10 @@ measured around the 24-hour dial; ``the same time each day`` bounds the
 spread of the intakes' clock times, and ``the same time each week`` the
 spread of their weekday-and-clock times.
 
-Every check costs O(n log m) for n intakes and m matching events: it sorts
-the timestamps it searches once (linear on the sorted events that
-:meth:`Timeline.build` yields) and bisects them per intake or per period.
-Intakes are walked in timeline order, so the first violating intake named
-in an explanation does not depend on how the search is done.
+Every timeline is sorted and clipped when built, so a check sorts nothing:
+it bisects the timestamps per intake or per period, O(n log m) for n intakes
+and m matching events. Intakes are walked in timeline order, so the first
+violating intake named does not depend on how the search is done.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ UNIT_DURATION = {
     TimeUnit.DAY: timedelta(days=1),
     TimeUnit.WEEK: timedelta(weeks=1),
 }
+
+Window = tuple[datetime | None, datetime | None]
 
 
 class VerdictStatus(str, Enum):
@@ -112,33 +113,35 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Events sorted ascending, clipped to the evaluation window."""
+    """Events sorted ascending, clipped to the evaluation window, however built.
+
+    An open window bound defaults to the events' span. Raises ``ValueError``
+    for a bound without a timezone, a start after the end, or no events and
+    an open bound.
+    """
 
     events: tuple[TimelineEvent, ...]
-    window: tuple[datetime, datetime]
+    window: Window = (None, None)
 
-    @classmethod
-    def build(
-        cls,
-        events: Iterable[TimelineEvent],
-        window: tuple[datetime | None, datetime | None] = (None, None),
-    ) -> "Timeline":
-        """Sort events, default the window to their span, drop events outside it.
-
-        Raises ``ValueError`` for a window bound without a timezone.
-        """
-        ordered = sorted(events, key=lambda e: e.timestamp)
-        if not ordered and (window[0] is None or window[1] is None):
+    def __post_init__(self) -> None:
+        ordered = sorted(self.events, key=lambda e: e.timestamp)
+        start, end = self.window
+        if not ordered and (start is None or end is None):
             raise ValueError("an empty timeline needs an explicit window")
-        for bound in window:
+        for bound in self.window:
             if bound is not None and (not isinstance(bound, datetime) or bound.utcoffset() is None):
                 raise ValueError(f"window bound must be a datetime with a timezone, got {bound!r}")
-        start = window[0] if window[0] is not None else ordered[0].timestamp
-        end = window[1] if window[1] is not None else ordered[-1].timestamp
+        start = start if start is not None else ordered[0].timestamp
+        end = end if end is not None else ordered[-1].timestamp
         if start > end:
             raise ValueError("window start is after window end")
-        kept = tuple(e for e in ordered if start <= e.timestamp <= end)
-        return cls(kept, (start, end))
+        object.__setattr__(self, "events", tuple(e for e in ordered if start <= e.timestamp <= end))
+        object.__setattr__(self, "window", (start, end))
+
+    @classmethod
+    def build(cls, events: Iterable[TimelineEvent], window: Window = (None, None)) -> "Timeline":
+        """The timeline of any iterable of events, as the constructor builds it."""
+        return cls(tuple(events), window)
 
     def intakes(self) -> tuple[TimelineEvent, ...]:
         return tuple(e for e in self.events if e.kind == "intake")
@@ -158,9 +161,7 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
-def load_timeline(
-    path: str | Path, window: tuple[datetime | None, datetime | None] = (None, None)
-) -> Timeline:
+def load_timeline(path: str | Path, window: Window = (None, None)) -> Timeline:
     """Read a timeline file: one JSON object per line with ``kind``, ``name``,
     and ``timestamp`` (ISO-8601 with timezone)."""
     events = []
@@ -211,7 +212,7 @@ def _fmt(event: TimelineEvent) -> str:
 
 def _check_frequency(mtc: Frequency, timeline: Timeline, intakes) -> Verdict:
     period = UNIT_DURATION[mtc.unit]
-    times = sorted(e.timestamp for e in intakes)
+    times = [e.timestamp for e in intakes]
     start, end = timeline.window
     period_start = start
     checked = 0
@@ -268,7 +269,7 @@ def _check_interval(mtc: Interval, intakes) -> Verdict:
 
 
 def _activity_times(timeline: Timeline, activity: str) -> list[datetime]:
-    return sorted(e.timestamp for e in timeline.activities(activity))
+    return [e.timestamp for e in timeline.activities(activity)]
 
 
 def _check_definitive_dependency(

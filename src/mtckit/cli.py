@@ -250,7 +250,10 @@ def _type_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_extract(args) -> int:
-    strategy = PromptStrategy(args.strategy, args.types)
+    try:
+        strategy = PromptStrategy(args.strategy, args.types)
+    except ValueError as exc:
+        raise ValueError(f"--types: {exc}") from None
     config = load_config(args.config)
     dugs = dataset.load_dugs(args.file)
     fewshot = fewshot_from_dugs(dataset.load_dugs(args.fewshot))

@@ -247,21 +247,21 @@ def _strings(values, field: str, text=lambda entry: entry) -> list[str]:
 def prediction_fields(record) -> tuple[str, tuple[list[str], list[str]]]:
     """``(dug_id, (forwarded predictions, all extracted candidates))`` of a record.
 
-    Accepts extraction records, plain mappings, or anything exposing
-    ``dug_id`` plus ``predictions`` and/or ``candidates``. Each is a list
-    (or tuple) of strings; a candidate may also be a ``{"text": str}``
+    Accepts extraction records, plain mappings, or anything exposing a
+    string ``dug_id`` plus ``predictions`` and/or ``candidates``. Each is a
+    list (or tuple) of strings; a candidate may also be a ``{"text": str}``
     object or have a string ``.text``. Raises ``ValueError`` otherwise.
     """
     get = record.get if isinstance(record, Mapping) else partial(getattr, record)
     dug_id = get("dug_id", None)
-    if dug_id is None:
-        raise ValueError(f"prediction record must be an object with a dug_id, got {record!r}")
+    if not isinstance(dug_id, str):
+        raise ValueError(f"prediction record must be an object with a dug_id string, got {record!r}")
     candidates = _strings(get("candidates", []), "candidates", _candidate_text)
     raw_predictions = get("predictions", None)
     predictions = list(candidates) if raw_predictions is None else _strings(raw_predictions, "predictions")
     if not candidates and predictions:
         candidates = list(predictions)
-    return str(dug_id), (predictions, candidates)
+    return dug_id, (predictions, candidates)
 
 
 def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = None) -> EvalReport:

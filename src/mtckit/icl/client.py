@@ -37,7 +37,6 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    finish: str = "stop"
 
 
 class ServiceError(RuntimeError):
@@ -171,21 +170,20 @@ class HttpCompletionClient:
             body["prompt"] = request.prompt
         return body
 
-    def _extract_text(self, data: object) -> tuple[str, str]:
+    def _extract_text(self, data: object) -> str:
         if not isinstance(data, dict):
             raise ServiceError("response body is not a JSON object")
         choices = data.get("choices")
         if isinstance(choices, list) and choices and isinstance(choices[0], dict):
             choice = choices[0]
-            finish = str(choice.get("finish_reason", "stop"))
             if self.use_messages:
                 message = choice.get("message", {})
                 if isinstance(message, dict) and isinstance(message.get("content"), str):
-                    return message["content"], finish
+                    return message["content"]
             if isinstance(choice.get("text"), str):
-                return choice["text"], finish
+                return choice["text"]
         if isinstance(data.get("text"), str):
-            return data["text"], "stop"
+            return data["text"]
         raise ServiceError("completion text not found in response body")
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
@@ -221,8 +219,7 @@ class HttpCompletionClient:
                         data = response.json()
                     except ValueError:
                         raise ServiceError("response body is not JSON", attempt=attempt) from None
-                    text, finish = self._extract_text(data)
-                    return CompletionResponse(text, finish)
+                    return CompletionResponse(self._extract_text(data))
             if attempt < self.max_attempts:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
         raise last_error

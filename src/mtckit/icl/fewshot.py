@@ -64,6 +64,8 @@ class FewShotPair:
         return record
 
 
+_PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
+
 #: Key of a few-shot set's rendered prompt prefixes, by (template, type), in
 #: its ``__dict__``. It is not a dataclass field, so equality, hashing and
 #: repr ignore it.
@@ -74,8 +76,9 @@ _PREFIXES = "_prefixes"
 class FewShotSet:
     """The fixed example set shown in every prompt.
 
-    Sets compare and hash by value. The guideline ``ids`` guard every
-    extraction, so they are settled once, at construction.
+    Sets compare and hash by their pairs. The guideline ``ids`` guard every
+    extraction and ``gaps`` names the paired strata no pair covers; both are
+    settled once, at construction.
     :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
     renders for a set in that set's ``__dict__``, so they live exactly as
     long as the set. A pickled set leaves them out: they are rendered from
@@ -83,10 +86,12 @@ class FewShotSet:
     """
 
     pairs: tuple[FewShotPair, ...]
-    gaps: tuple[str, ...] = ()
+    gaps: tuple[str, ...] = field(init=False, compare=False)
     ids: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        covered = set().union(*(pair.coverage.strata() for pair in self.pairs))
+        object.__setattr__(self, "gaps", tuple(s for s in _PAIRED_STRATA if s not in covered))
         object.__setattr__(self, "ids", frozenset(pair.dug.id for pair in self.pairs))
 
     def __getstate__(self) -> dict:
@@ -120,15 +125,9 @@ def _pair(dug: Dug) -> FewShotPair:
     return FewShotPair(dug, gold_answer(dug), coverage)
 
 
-_PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
-
-
 def fewshot_from_dugs(dugs: Sequence[Dug]) -> FewShotSet:
     """Wrap an already-chosen example list (e.g. read back from a file)."""
-    pairs = tuple(_pair(dug) for dug in dugs)
-    present = set().union(*(p.coverage.strata() for p in pairs)) if pairs else set()
-    gaps = tuple(s for s in _PAIRED_STRATA if s not in present)
-    return FewShotSet(pairs, gaps)
+    return FewShotSet(tuple(_pair(dug) for dug in dugs))
 
 
 def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSet:
@@ -146,13 +145,9 @@ def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSe
     if len(pairs) != len(pool):
         raise InsufficientPoolError("pool contains duplicate guideline ids")
 
-    present: set[str] = set().union(*(p.coverage.strata() for p in pairs.values())) if pool else set()
-    needed = set(present)
-    gaps = tuple(s for s in _PAIRED_STRATA if s not in present)
-
     ordered_ids = sorted(pairs)
     selected: list[str] = []
-    uncovered = set(needed)
+    uncovered: set[str] = set().union(*(p.coverage.strata() for p in pairs.values()))
     while uncovered:
         if len(selected) == k:
             raise InsufficientPoolError(
@@ -168,7 +163,7 @@ def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSe
     remaining = [i for i in ordered_ids if i not in selected]
     rng = random.Random(seed)
     selected.extend(rng.sample(remaining, k - len(selected)))
-    return FewShotSet(tuple(pairs[i] for i in selected), gaps)
+    return FewShotSet(tuple(pairs[i] for i in selected))
 
 
 def exclude_fewshot(dugs: Sequence[Dug], fewshot: FewShotSet) -> list[Dug]:

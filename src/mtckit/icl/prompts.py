@@ -69,6 +69,8 @@ class PromptStrategy:
                 object.__setattr__(self, "types", SPECIALIZED_DEFAULT_TYPES)
             if not set(self.types) <= set(range(1, 8)):
                 raise ValueError(f"specialized types must be within 1..7, got {self.types}")
+            if len(set(self.types)) != len(self.types):
+                raise ValueError(f"specialized types must not repeat, got {self.types}")
         elif self.types:
             raise ValueError(f"{self.kind} strategy takes no types")
 

@@ -423,6 +423,8 @@ def test_build_rejects_window_bound_without_timezone():
     for window in ((naive, None), (None, naive), (naive.replace(tzinfo=_NoOffset()), None), ("2026-03-02", None)):
         with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
             Timeline.build([event], window)
+        with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
+            Timeline((event,), window)
 
 
 def test_event_is_slotted_and_keeps_value_semantics():
@@ -441,13 +443,74 @@ def test_event_is_slotted_and_keeps_value_semantics():
 
 def test_timeline_clips_and_sorts():
     events = [intake(2, 8), intake(0, 8), intake(9, 8)]
-    line = Timeline.build(events, (ts(0, 0), ts(3, 0)))
-    assert [e.timestamp for e in line.events] == [ts(0, 8), ts(2, 8)]
+    for line in (Timeline.build(events, (ts(0, 0), ts(3, 0))), Timeline(tuple(events), (ts(0, 0), ts(3, 0)))):
+        assert [e.timestamp for e in line.events] == [ts(0, 8), ts(2, 8)]
+        assert line.window == (ts(0, 0), ts(3, 0))
+
+
+def test_window_start_after_end_is_rejected():
+    for window in ((ts(1, 0), ts(0, 0)), (ts(1, 0), None), (None, ts(0, 0))):
+        with pytest.raises(ValueError, match="window start is after window end"):
+            Timeline((intake(0, 8),), window)
+        with pytest.raises(ValueError, match="window start is after window end"):
+            Timeline.build([intake(0, 8)], window)
+
+
+def test_direct_timeline_is_sorted_before_gaps_are_measured():
+    line = Timeline((intake(0, 12), intake(0, 0)), (ts(0, 0), ts(1, 0)))
+    verdict = check(parse_mtc("6 hour apart"), line)
+    assert verdict.status is VerdictStatus.SATISFIED, verdict.explanation
+
+
+def test_direct_timeline_drops_intakes_outside_its_window():
+    line = Timeline((intake(3, 8),), (ts(0, 0), ts(1, 0)))
+    assert line.events == ()
+    verdict = check(parse_mtc("before 9 am"), line)
+    assert (verdict.status, verdict.explanation) == (VerdictStatus.INDETERMINATE, "no intake events in window")
+
+
+def test_direct_timeline_defaults_an_open_window_to_the_event_span():
+    events = (intake(1, 8), intake(0, 8), intake(0, 20))
+    for line in (Timeline(events), Timeline(events, (None, None))):
+        assert line.window == (ts(0, 8), ts(1, 8))
+        assert check(parse_mtc("2 times day"), line).status is VerdictStatus.SATISFIED
+
+
+_bounds = st.one_of(st.none(), st.integers(-60, 3000).map(lambda m: DAY0 + timedelta(minutes=m)))
+_events = st.lists(
+    st.builds(
+        lambda kind, name, minute, zone: TimelineEvent(kind, name, (DAY0 + timedelta(minutes=minute)).astimezone(zone)),
+        st.sampled_from(("intake", "intake", "activity")),
+        st.sampled_from(("medication", "eating", "sleep")),
+        st.integers(0, 96).map(lambda m: 30 * m),
+        st.sampled_from(ZONES),
+    ),
+    max_size=10,
+    unique_by=lambda event: event.timestamp,  # events at one instant keep their input order
+)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=_events, window=st.tuples(_bounds, _bounds), mtc=_mtcs, cfg=_configs, data=st.data())
+def test_constructor_and_build_agree_for_any_event_order(events, window, mtc, cfg, data):
+    built = _outcome(lambda: Timeline.build(events, window))
+    direct = _outcome(lambda: Timeline(tuple(data.draw(st.permutations(events))), window))
+    assert direct == built
+    if isinstance(built, Timeline):
+        assert check(mtc, direct, cfg) == check(mtc, built, cfg)
 
 
 def test_empty_timeline_needs_window():
-    with pytest.raises(ValueError):
-        Timeline.build([])
+    for make in (lambda: Timeline.build([]), lambda: Timeline(()), lambda: Timeline((), (ts(0, 0), None))):
+        with pytest.raises(ValueError, match="an empty timeline needs an explicit window"):
+            make()
     line = Timeline.build([], (ts(0, 0), ts(1, 0)))
     assert line.events == ()
 

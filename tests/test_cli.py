@@ -218,7 +218,22 @@ def test_extract_types_on_a_strategy_without_types_exits_one(tmp_path, pool, cap
         "--types", "1", "--client", "replay", "--fixtures", str(fixtures),
     ])
     assert code == 1
-    assert err == f"error: {strategy} strategy takes no types\n"
+    assert err == f"error: --types: {strategy} strategy takes no types\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    ("types", "reason"),
+    [("9", "must be within 1..7, got (9,)"), ("2,2", "must not repeat, got (2, 2)")],
+)
+def test_extract_bad_specialized_types_exit_one_naming_the_flag(tmp_path, pool, capsys, types, reason):
+    corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
+    code, out, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "specialized",
+        "--types", types, "--client", "replay", "--fixtures", str(fixtures),
+    ])
+    assert code == 1
+    assert err == f"error: --types: specialized types {reason}\n"
     assert out == ""
 
 
@@ -337,6 +352,7 @@ def test_eval_bad_prediction_line_names_path_and_line(tmp_path, pool, capsys):
         ("{not json", "Expecting property name"),
         ('{"candidates": []}', "with a dug_id"),
         ('{"dug_id": null}', "with a dug_id"),
+        ('{"dug_id": 5, "candidates": []}', "with a dug_id string"),
         ('{"dug_id": "p02", "candidates": 5}', "candidates must be a list of strings"),
         ('{"dug_id": "p02", "predictions": "1 times day"}', "predictions must be a list of strings"),
     ]:

@@ -110,6 +110,14 @@ def test_malformed_prediction_fields_raise_value_error(record):
         evaluate(gold, [record])
 
 
+@pytest.mark.parametrize("dug_id", [5, None, ["a"]])
+def test_prediction_dug_id_must_be_a_string(dug_id):
+    gold = [make_dug("5", "t", ["1 times day"])]
+    for record in ({"dug_id": dug_id, "candidates": []}, SimpleNamespace(dug_id=dug_id, candidates=[])):
+        with pytest.raises(ValueError, match="with a dug_id string"):
+            evaluate(gold, [record])
+
+
 def test_prediction_record_shapes_score_alike():
     gold = [make_dug("a", "t", ["1 times day"])]
     text = SimpleNamespace(text="1 times day")

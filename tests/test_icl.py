@@ -8,12 +8,13 @@ import importlib
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,15 @@ def test_selection_records_pool_gaps(pool):
     fewshot = select_fewshot(no_empty, k=8, seed=0)
     assert "empty" in fewshot.gaps
     assert not any(p.coverage.empty for p in fewshot.pairs)
+
+
+def test_gaps_are_derived_from_the_pairs(pool):
+    fewshot = select_fewshot([d for d in pool if d.labels], k=8, seed=0)
+    assert FewShotSet(fewshot.pairs).gaps == fewshot.gaps == ("empty",)
+    assert fewshot_from_dugs([d for d in pool if not d.labels][:1]).gaps == ("nonempty", "multiple", "difficult")
+    assert FewShotSet(()).gaps == ("empty", "nonempty", "single", "multiple", "simple", "difficult")
+    with pytest.raises(TypeError):
+        FewShotSet(fewshot.pairs, ("empty",))
 
 
 def test_gold_answers():
@@ -174,6 +184,12 @@ def test_strategy_validation():
         PromptStrategy("weird")
     with pytest.raises(ValueError):
         PromptStrategy("simple", (2,))
+
+
+@pytest.mark.parametrize("types", [(2, 2), (1, 3, 1)])
+def test_specialized_types_must_not_repeat(types):
+    with pytest.raises(ValueError, match=re.escape(f"specialized types must not repeat, got {types}")):
+        PromptStrategy("specialized", types)
 
 
 def test_specialized_default_types_have_one_home():
@@ -360,7 +376,6 @@ def test_fewshot_set_value_semantics(pool):
     fewshot = select_fewshot(pool, k=8, seed=0)
     assert fewshot == select_fewshot(pool, k=8, seed=0)
     assert fewshot != select_fewshot(pool, k=8, seed=1)
-    assert fewshot != FewShotSet(fewshot.pairs, ("empty",))
     assert fewshot != fewshot.pairs
     copy = pickle.loads(pickle.dumps(fewshot))
     assert copy == fewshot and hash(copy) == hash(fewshot)
@@ -526,7 +541,8 @@ def test_http_client_prompt_mode(monkeypatch):
     session = FakeSession([FakeResponse(payload={"choices": [{"text": "3 times day", "finish_reason": "stop"}]})])
     client = HttpCompletionClient("http://svc/v1/complete", model="m1", session=session)
     response = client.complete(CompletionRequest("p", temperature=0.0, max_tokens=64))
-    assert response.text == "3 times day"
+    assert response == CompletionResponse("3 times day")
+    assert [f.name for f in fields(CompletionResponse)] == ["text"]
     call = session.calls[0]
     assert call["json"] == {"model": "m1", "temperature": 0.0, "max_tokens": 64, "prompt": "p"}
     assert call["headers"]["Authorization"] == "Bearer sekret"
