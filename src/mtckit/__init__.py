@@ -8,12 +8,11 @@ a multilabel protocol, and checking parsed constraints against patient
 event timelines.
 """
 
-from . import adherence, dataset, evaluation, grammar, icl, normalize, rulebase
+from . import adherence, dataset, evaluation, grammar, icl, normalize, rulebase, tables
 from .adherence import Timeline, TimelineEvent, ToleranceConfig, Verdict, VerdictStatus, check
 from .dataset import (
     DEFAULT_ABBREVIATION_RULES,
     AbbreviationRule,
-    CorpusFormatError,
     CorpusStats,
     Dug,
     dataset_stats,
@@ -29,6 +28,7 @@ from .evaluation import (
     build_label_space,
     evaluate,
     krippendorff_alpha,
+    load_predictions,
     map_to_label,
 )
 from .grammar import (
@@ -62,5 +62,6 @@ from .normalize import (
     normalize_raw_output,
 )
 from .rulebase import TypePrediction, TypeRule, classify_types, evaluate_type_classifier
+from .tables import FileFormatError
 
 __version__ = "0.1.0"

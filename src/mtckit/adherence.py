@@ -22,8 +22,9 @@ spread of their weekday-and-clock times.
 
 Every timeline is sorted and clipped when built, so a check sorts nothing:
 it bisects the timestamps per intake or per period, O(n log m) for n intakes
-and m matching events. Intakes are walked in timeline order, so the first
-violating intake named does not depend on how the search is done.
+and m matching events. Events at one instant sort by UTC offset, kind, then
+name, and intakes are walked in timeline order, so the first violating
+intake named depends neither on the input order nor on the search.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .grammar import (
     serialize,
 )
 from .normalize import normalize_activity
+from .tables import read_lines
 
 EVENT_KINDS = ("intake", "activity")
 
@@ -124,7 +126,7 @@ class Timeline:
     window: Window = (None, None)
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.events, key=lambda e: e.timestamp)
+        ordered = sorted(self.events, key=lambda e: (e.timestamp, e.timestamp.utcoffset(), e.kind, e.name))
         start, end = self.window
         if not ordered and (start is None or end is None):
             raise ValueError("an empty timeline needs an explicit window")
@@ -161,23 +163,20 @@ def parse_timestamp(value: str) -> datetime:
     return parsed
 
 
+def _event_row(line: str) -> TimelineEvent:
+    try:
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("record must be a JSON object")
+        return TimelineEvent(record["kind"], record["name"], parse_timestamp(record["timestamp"]))
+    except (KeyError, ValueError, RecursionError) as exc:
+        raise ValueError(f"bad timeline record: {exc}") from None
+
+
 def load_timeline(path: str | Path, window: Window = (None, None)) -> Timeline:
     """Read a timeline file: one JSON object per line with ``kind``, ``name``,
-    and ``timestamp`` (ISO-8601 with timezone)."""
-    events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record must be a JSON object")
-            events.append(
-                TimelineEvent(record["kind"], record["name"], parse_timestamp(record["timestamp"]))
-            )
-        except (KeyError, ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad timeline record: {exc}") from None
-    return Timeline.build(events, window)
+    and ``timestamp`` (ISO-8601 with timezone); a bad one is a problem."""
+    return Timeline.build(read_lines(path, _event_row), window)
 
 
 def _default_day_parts() -> dict[DayPart, tuple[time, time]]:

@@ -21,7 +21,7 @@ import sys
 from datetime import time, timedelta
 from pathlib import Path
 
-from . import adherence, dataset, evaluation, grammar, normalize, rulebase
+from . import adherence, dataset, evaluation, grammar, normalize, rulebase, tables
 from .grammar import NonvalidMtcError
 from .icl import (
     SPECIALIZED_DEFAULT_TYPES,
@@ -127,7 +127,7 @@ def cmd_parse(args) -> int:
 def _read_lines(args) -> list[str]:
     if args.text is not None:
         return [args.text]
-    return Path(args.file).read_text(encoding="utf-8").splitlines()
+    return tables.read_lines(args.file, str)
 
 
 def cmd_validate(args) -> int:
@@ -174,8 +174,18 @@ def cmd_dataset_stats(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> str:
+    """The text ``Path.read_text`` gives, naming a byte that is not UTF-8 as ``<path>:<line>``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def cmd_extract_ehr(args) -> int:
-    report_text = Path(args.file).read_text(encoding="utf-8")
+    report_text = _read_report(args.file)
     dugs = dataset.extract_ehr_statements(
         report_text, min_tokens=args.min_tokens, max_tokens=args.max_tokens
     )
@@ -284,19 +294,7 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     gold = dataset.load_dugs(args.gold)
-    records = []
-    for lineno, line in enumerate(
-        Path(args.pred).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            evaluation.prediction_fields(record)  # evaluate's own check, run here to name the line
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{args.pred}:{lineno}: {exc}") from None
-        records.append(record)
-    report = evaluation.evaluate(gold, records)
+    report = evaluation.evaluate(gold, evaluation.load_predictions(args.pred))
     if args.out:
         Path(args.out).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -4,7 +4,7 @@ A corpus is a UTF-8 JSON-lines file, one record per line, with keys
 ``id`` (string), ``source`` (``fda`` | ``medscape`` | ``ehr``), ``text``
 (the guideline statement) and ``labels`` (array of constraint strings).
 Gold labels must parse under the grammar; a corpus with unparsable gold
-is rejected rather than loaded degraded.
+is rejected rather than loaded degraded, naming each bad line.
 
 The EHR miner rebuilds statement datasets from free-text medical reports
 by searching for the eight dotted sig abbreviations that map one-to-one
@@ -22,23 +22,9 @@ from typing import Iterable, Sequence
 
 from . import grammar
 from .grammar import Mtc, dedup_mtcs, mtc_type, parse_mtc, serialize
+from .tables import read_lines
 
 SOURCES = ("fda", "medscape", "ehr")
-
-
-class CorpusFormatError(ValueError):
-    """One or more corpus lines are malformed; carries (line, reason) pairs.
-
-    ``path`` names the file the lines come from, when known; the message
-    then starts with it.
-    """
-
-    def __init__(self, problems: Sequence[tuple[int, str]], path: str | Path | None = None):
-        self.problems = list(problems)
-        self.path = path
-        lines = "; ".join(f"line {line}: {reason}" for line, reason in self.problems)
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}{len(self.problems)} bad corpus record(s): {lines}")
 
 
 @dataclass(frozen=True)
@@ -92,33 +78,21 @@ def _dug_from_dict(record: dict) -> Dug:
 
 
 def load_dugs(path: str | Path) -> list[Dug]:
-    """Load a corpus file, canonicalizing gold labels through the grammar.
-
-    All malformed lines are gathered and reported together in a single
-    :class:`CorpusFormatError` that names ``path``; duplicate ids are an
-    error.
-    """
-    dugs: list[Dug] = []
-    problems: list[tuple[int, str]] = []
+    """Load a corpus file, canonicalizing gold labels through the grammar; a
+    malformed line or a repeated id is a problem (:func:`~mtckit.tables.read_lines`)."""
     seen_ids: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record must be a JSON object")
-            dug = _dug_from_dict(record)
-            if dug.id in seen_ids:
-                raise ValueError(f"duplicate id {dug.id!r}")
-            seen_ids.add(dug.id)
-            dugs.append(dug)
-        except (ValueError, RecursionError) as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise CorpusFormatError(problems, path)
-    return dugs
+
+    def dug_row(line: str) -> Dug:
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("record must be a JSON object")
+        dug = _dug_from_dict(record)
+        if dug.id in seen_ids:
+            raise ValueError(f"duplicate id {dug.id!r}")
+        seen_ids.add(dug.id)
+        return dug
+
+    return read_lines(path, dug_row)
 
 
 def dump_dugs(dugs: Iterable[Dug], path: str | Path) -> None:

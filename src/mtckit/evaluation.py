@@ -24,17 +24,21 @@ nothing to get wrong).
 
 Scoring walks the guidelines once and tests label-space membership in a
 set, so its cost grows with guidelines plus labels, not their product.
+Prediction files are read by :func:`load_predictions`, naming each bad line.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import AbstractSet, Container, Iterable, Mapping, Sequence
 
 from . import grammar
 from .dataset import Dug
+from .tables import read_lines
 
 UNDEFINED_LABEL = "undefined"
 
@@ -51,6 +55,14 @@ def build_label_space(gold: Sequence[Dug]) -> LabelSpace:
     return tuple(labels) + (UNDEFINED_LABEL,)
 
 
+def _canonical(text: str) -> str | None:
+    """The canonical string of ``text``, or ``None`` when it does not parse."""
+    try:
+        return grammar.serialize(grammar.parse_mtc(text))
+    except grammar.NonvalidMtcError:
+        return None
+
+
 def map_to_label(candidate: str, space: Container[str]) -> str:
     """Label-space member for a normalized candidate string.
 
@@ -58,11 +70,10 @@ def map_to_label(candidate: str, space: Container[str]) -> str:
     map to ``undefined``. ``space`` is tested for membership once, so a
     set of labels makes the call independent of the space's size.
     """
-    try:
-        canonical = grammar.serialize(grammar.parse_mtc(candidate))
-    except grammar.NonvalidMtcError:
+    canonical = _canonical(candidate)
+    if canonical is None or canonical == UNDEFINED_LABEL or canonical not in space:
         return UNDEFINED_LABEL
-    return canonical if canonical in space and canonical != UNDEFINED_LABEL else UNDEFINED_LABEL
+    return canonical
 
 
 @dataclass(frozen=True)
@@ -264,18 +275,32 @@ def prediction_fields(record) -> tuple[str, tuple[list[str], list[str]]]:
     return dug_id, (predictions, candidates)
 
 
+def _prediction_row(line: str) -> dict:
+    record = json.loads(line)
+    prediction_fields(record)  # evaluate's own check, run here to name the line
+    return record
+
+
+def load_predictions(path: str | Path) -> list[dict]:
+    """The records of a prediction file, JSON lines as ``mtc extract`` writes them;
+    a line that is not JSON or fails :func:`prediction_fields` is a problem."""
+    return read_lines(path, _prediction_row)
+
+
 def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = None) -> EvalReport:
     """Score extraction records against gold guidelines.
 
     ``records`` must align one-to-one with ``gold`` by ``dug_id``. When
-    ``space`` is omitted it is built from ``gold``.
+    ``space`` is omitted it is built from ``gold``. Each distinct candidate
+    or prediction string is parsed once, for both its validity and its label.
     """
     if space is None:
         space = build_label_space(gold)
     by_id = align_ids(gold, map(prediction_fields, records))
 
-    space_set = frozenset(space)
-    gold_space = space_set - {UNDEFINED_LABEL}
+    gold_space = frozenset(space) - {UNDEFINED_LABEL}
+    distinct = dict.fromkeys(text for pair in by_id.values() for texts in pair for text in texts)
+    canonical = {text: _canonical(text) for text in distinct}  # one parse for validity and label
     gold_sets: list[set[str]] = []
     pred_sets: list[set[str]] = []
     n_candidates = 0
@@ -284,8 +309,8 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
     for dug in gold:
         predictions, candidates = by_id[dug.id]
         n_candidates += len(candidates)
-        n_valid += sum(1 for c in candidates if grammar.is_valid(c))
-        mapped = [map_to_label(p, space_set) for p in predictions]
+        n_valid += sum(1 for c in candidates if canonical[c] is not None)
+        mapped = [canonical[p] if canonical[p] in gold_space else UNDEFINED_LABEL for p in predictions]
         undefined_predictions += sum(1 for m in mapped if m == UNDEFINED_LABEL)
         gold_set = set(dug.label_strings)
         if not gold_set <= gold_space:

@@ -469,6 +469,18 @@ def test_direct_timeline_drops_intakes_outside_its_window():
     assert (verdict.status, verdict.explanation) == (VerdictStatus.INDETERMINATE, "no intake events in window")
 
 
+def test_events_at_one_instant_explain_alike_in_any_input_order():
+    # 08:00+00:00 and 13:00+05:00 are one instant; the earlier offset sorts first.
+    first = TimelineEvent("intake", "m", datetime(2026, 3, 2, 8, 0, tzinfo=UTC))
+    second = TimelineEvent("intake", "m", datetime(2026, 3, 2, 13, 0, tzinfo=timezone(timedelta(hours=5))))
+    verdicts = [check(parse_mtc("6 hour apart"), Timeline(events)) for events in ((first, second), (second, first))]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].status is VerdictStatus.VIOLATED
+    assert "between intake 'm' at 2026-03-02T08:00:00+00:00 and intake 'm' at 2026-03-02T13:00:00+05:00" in (
+        verdicts[0].explanation
+    )
+
+
 def test_direct_timeline_defaults_an_open_window_to_the_event_span():
     events = (intake(1, 8), intake(0, 8), intake(0, 20))
     for line in (Timeline(events), Timeline(events, (None, None))):
@@ -486,7 +498,6 @@ _events = st.lists(
         st.sampled_from(ZONES),
     ),
     max_size=10,
-    unique_by=lambda event: event.timestamp,  # events at one instant keep their input order
 )
 
 

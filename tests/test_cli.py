@@ -307,7 +307,7 @@ def test_dataset_stats_non_string_label_exits_one(tmp_path, capsys):
     corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
     code, _, err = run(capsys, ["dataset-stats", "--file", str(corpus)])
     assert code == 1
-    assert f"error: {corpus}: 1 bad corpus record(s): line 1: gold label 5 is not a string" in err
+    assert f"error: {corpus}:1: gold label 5 is not a string" in err
     assert "Traceback" not in err
 
 
@@ -321,7 +321,7 @@ def test_extract_bad_corpus_error_names_its_file(tmp_path, pool, capsys, bad_opt
             "--client", "replay", "--fixtures", str(fixtures)]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {bad}: 1 bad corpus record(s): line 1: dug id and text must be strings")
+    assert err.startswith(f"error: {bad}:1: dug id and text must be strings")
 
 
 def test_adhere_tolerance_flag(tmp_path, capsys):
@@ -372,7 +372,7 @@ def test_corpus_id_or_text_of_another_type_exits_one_naming_the_line(tmp_path, c
     corpus.write_text(json.dumps({**record, field: value}) + "\n", encoding="utf-8")
     code, out, err = run(capsys, [command[0], "--file", str(corpus), *command[1:]])
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {corpus}: 1 bad corpus record(s): line 1: dug id and text must be strings")
+    assert err.startswith(f"error: {corpus}:1: dug id and text must be strings")
 
 
 # ------------------------------------------------------------ configuration
@@ -591,6 +591,7 @@ _RECORDS = {
         "predictions": ["2 times day"],
     },
     "timeline": {"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00+00:00"},
+    "text": {"text": "Take one tablet b.i.d. with food", "candidates": "2 times day; before sleep"},
 }
 
 #: Each subcommand that reads a file: the kind of the file fuzzed and its argv,
@@ -608,6 +609,9 @@ _FILE_COMMANDS = {
         "extract", "--file", v["corpus"], "--fewshot", f, *v["replay"]
     ]),
     "adhere --timeline": ("timeline", lambda f, v: ["adhere", "--mtc", "in morning", "--timeline", f]),
+    "extract-ehr --file": ("text", lambda f, v: ["extract-ehr", "--file", f]),
+    "validate --file": ("text", lambda f, v: ["validate", "--file", f]),
+    "normalize --file": ("text", lambda f, v: ["normalize", "--file", f]),
 }
 
 
@@ -639,12 +643,23 @@ def _file_contents(record: dict):
 def test_any_input_file_exits_zero_or_one_without_traceback(input_files, command, data):
     fuzzed, valid = input_files
     kind, argv = _FILE_COMMANDS[command]
-    fuzzed.write_bytes(data.draw(_file_contents(_RECORDS[kind])))
+    content = data.draw(_file_contents(_RECORDS[kind]))
+    fuzzed.write_bytes(content)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv(str(fuzzed), valid))
     assert code in (0, 1)
     assert code == 0 or err.getvalue().startswith(("error: ", "nonvalid: "))
+    if not _is_utf8(content):  # only the arbitrary-bytes branch draws these
+        assert code == 1 and err.getvalue().startswith(f"error: {fuzzed}:")
+
+
+def _is_utf8(content: bytes) -> bool:
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # A rule table's fields: constraint types valid and not, and patterns made of

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,13 +11,13 @@ from mtckit import grammar
 from mtckit.dataset import (
     DEFAULT_ABBREVIATION_RULES,
     AbbreviationRule,
-    CorpusFormatError,
     Dug,
     dataset_stats,
     dump_dugs,
     extract_ehr_statements,
     load_dugs,
 )
+from mtckit.tables import FileFormatError
 
 from conftest import make_dug
 
@@ -54,7 +55,7 @@ def test_load_reports_all_bad_lines(tmp_path):
         json.dumps({"id": "a", "source": "fda", "text": "dupe id", "labels": []}),
     ]
     path.write_text("\n".join(rows), encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         load_dugs(path)
     assert sorted(line for line, _ in err.value.problems) == [2, 3, 4, 5]
 
@@ -80,7 +81,7 @@ def test_load_reports_non_string_id_or_text_by_line(tmp_path):
         {"id": 7, "source": "fda", "text": "ok", "labels": []},
     ]
     path.write_text("\n".join(json.dumps(row) for row in rows), encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         load_dugs(path)
     assert [line for line, _ in err.value.problems] == [2, 3, 4]
     assert all("must be strings" in reason for _, reason in err.value.problems)
@@ -93,7 +94,7 @@ def test_load_rejects_a_gold_label_whose_activity_holds_the_separator(tmp_path):
         {"id": "b", "source": "fda", "text": "split", "labels": ["before a;b"]},
     ]
     path.write_text("\n".join(json.dumps(row) for row in rows), encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="line 2: ") as err:
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:2: ") as err:
         load_dugs(path)
     assert [line for line, _ in err.value.problems] == [2]
 
@@ -101,7 +102,7 @@ def test_load_rejects_a_gold_label_whose_activity_holds_the_separator(tmp_path):
 def test_load_reports_deep_nesting_by_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("[" * 100_000 + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         load_dugs(path)
     assert [line for line, _ in err.value.problems] == [1]
 
