@@ -40,5 +40,5 @@ print("\nscores against gold types:")
 for t, metrics in sorted(report.per_type.items()):
     print(f"  type {t}: precision {metrics.precision:.2f}  recall {metrics.recall:.2f}  "
           f"f1 {metrics.f1:.2f}  (support {metrics.support})")
-print(f"  macro:  precision {report.macro_precision:.2f}  recall {report.macro_recall:.2f}  "
-      f"f1 {report.macro_f1:.2f}")
+print(f"  macro:  precision {report.macro.precision:.2f}  recall {report.macro.recall:.2f}  "
+      f"f1 {report.macro.f1:.2f}")

@@ -25,6 +25,7 @@ from .evaluation import (
     EvalReport,
     LabelMetrics,
     MismatchedIdsError,
+    Scores,
     build_label_space,
     evaluate,
     krippendorff_alpha,

@@ -69,6 +69,15 @@ UNIT_DURATION = {
 
 Window = tuple[datetime | None, datetime | None]
 
+#: Timelines sort and clip on ``timestamp - _EPOCH``: a timedelta is exact, and
+#: comparing two costs no ``utcoffset()`` call, which comparing aware datetimes
+#: with different ``tzinfo`` objects makes every time.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _instant(event: "TimelineEvent") -> timedelta:
+    return event.timestamp - _EPOCH
+
 
 class VerdictStatus(str, Enum):
     SATISFIED = "satisfied"
@@ -117,16 +126,18 @@ class TimelineEvent:
 class Timeline:
     """Events sorted ascending, clipped to the evaluation window, however built.
 
-    An open window bound defaults to the events' span. Raises ``ValueError``
-    for a bound without a timezone, a start after the end, or no events and
-    an open bound.
+    Each event is keyed once by its exact instant and the window is found by
+    bisection, so events in several UTC offsets build as fast as events in
+    one. An open window bound defaults to the events' span. Raises
+    ``ValueError`` for a bound without a timezone, a start after the end, or
+    no events and an open bound.
     """
 
     events: tuple[TimelineEvent, ...]
     window: Window = (None, None)
 
     def __post_init__(self) -> None:
-        ordered = sorted(self.events, key=lambda e: (e.timestamp, e.timestamp.utcoffset(), e.kind, e.name))
+        ordered = sorted(self.events, key=lambda e: (e.timestamp - _EPOCH, e.timestamp.utcoffset(), e.kind, e.name))
         start, end = self.window
         if not ordered and (start is None or end is None):
             raise ValueError("an empty timeline needs an explicit window")
@@ -135,9 +146,11 @@ class Timeline:
                 raise ValueError(f"window bound must be a datetime with a timezone, got {bound!r}")
         start = start if start is not None else ordered[0].timestamp
         end = end if end is not None else ordered[-1].timestamp
-        if start > end:
+        earliest, latest = start - _EPOCH, end - _EPOCH
+        if earliest > latest:
             raise ValueError("window start is after window end")
-        object.__setattr__(self, "events", tuple(e for e in ordered if start <= e.timestamp <= end))
+        first = bisect_left(ordered, earliest, key=_instant)
+        object.__setattr__(self, "events", tuple(ordered[first:bisect_right(ordered, latest, key=_instant)]))
         object.__setattr__(self, "window", (start, end))
 
     @classmethod

@@ -215,15 +215,9 @@ def cmd_rules_classify(args) -> int:
         if args.format == "json-lines":
             _emit(report.to_dict())
         else:
-            for t, m in sorted(report.per_type.items()):
-                print(
-                    f"type {t}: precision {m.precision:.3f}  recall {m.recall:.3f}  "
-                    f"f1 {m.f1:.3f}  support {m.support}"
-                )
-            print(
-                f"macro: precision {report.macro_precision:.3f}  "
-                f"recall {report.macro_recall:.3f}  f1 {report.macro_f1:.3f}"
-            )
+            rows = [(f"type {t}", m, f"  support {m.support}") for t, m in sorted(report.per_type.items())]
+            for name, s, note in rows + [("macro", report.macro, "")]:
+                print(f"{name}: precision {s.precision:.3f}  recall {s.recall:.3f}  f1 {s.f1:.3f}{note}")
     return 0
 
 
@@ -294,7 +288,10 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     gold = dataset.load_dugs(args.gold)
-    report = evaluation.evaluate(gold, evaluation.load_predictions(args.pred))
+    try:
+        report = evaluation.evaluate(gold, evaluation.load_predictions(args.pred))
+    except evaluation.MismatchedIdsError as exc:
+        raise ValueError(f"{args.pred}: {exc}") from None
     if args.out:
         Path(args.out).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -319,7 +316,13 @@ def cmd_adhere(args) -> int:
         adherence.parse_timestamp(args.window_start) if args.window_start else None,
         adherence.parse_timestamp(args.window_end) if args.window_end else None,
     )
-    timeline = adherence.load_timeline(args.timeline, window)
+    try:
+        timeline = adherence.load_timeline(args.timeline, window)
+    except ValueError as exc:
+        if isinstance(exc, tables.FileFormatError) or None not in window:
+            raise
+        # An open bound defaults to the span of the file's events, so the file is named.
+        raise ValueError(f"{args.timeline}: {exc}; give --window-start and --window-end") from None
     verdict = adherence.check(mtc, timeline, _tolerances(args, config))
     if args.format == "json-lines":
         _emit(

@@ -6,14 +6,17 @@ plus one reserved ``undefined`` label. A predicted candidate maps to
 ``undefined`` when it does not parse under the grammar or parses to a
 constraint absent from the space.
 
-Reported metric families (all in [0, 1]):
+Reported metric families (all in [0, 1]); every averaged family is one
+:class:`Scores` value, ``(precision, recall, f1)``, so a report's label-macro
+F1 is ``report.macro.f1``:
 
 * per-label precision / recall / F1 with support,
 * label-macro averages (labels with gold support, plus ``undefined``
-  whenever it was predicted),
-* example-averaged metrics (scored per guideline, then averaged),
+  whenever it was predicted): ``EvalReport.macro``,
+* example-averaged metrics (scored per guideline, then averaged):
+  ``EvalReport.example``,
 * positive-class example-averaged metrics (guidelines with empty gold
-  excluded),
+  excluded): ``EvalReport.positive``,
 * validity rate: the fraction of extracted candidate strings that parse.
 
 Zero-division conventions, declared once and used everywhere: a label with
@@ -31,10 +34,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Container, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import AbstractSet, Container, Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from . import grammar
 from .dataset import Dug
@@ -68,12 +72,26 @@ def map_to_label(candidate: str, space: Container[str]) -> str:
 
     Nonvalid candidates and valid constraints missing from the space both
     map to ``undefined``. ``space`` is tested for membership once, so a
-    set of labels makes the call independent of the space's size.
+    set of labels makes the call independent of the space's size. A
+    ``candidate`` that is not a ``str`` is a ``TypeError``.
     """
+    if not isinstance(candidate, str):
+        raise TypeError(f"candidate must be a string, got {type(candidate).__name__}")
     canonical = _canonical(candidate)
     if canonical is None or canonical == UNDEFINED_LABEL or canonical not in space:
         return UNDEFINED_LABEL
     return canonical
+
+
+class Scores(NamedTuple):
+    """Precision, recall and F1 of one metric family: an immutable value."""
+
+    precision: float
+    recall: float
+    f1: float
+
+    def to_dict(self) -> dict[str, float]:
+        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
 @dataclass(frozen=True)
@@ -95,16 +113,10 @@ class EvalReport:
     undefined_predictions: int
     per_label: dict[str, LabelMetrics]
     macro_labels: tuple[str, ...]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    example_precision: float
-    example_recall: float
-    example_f1: float
-    positive_precision: float
-    positive_recall: float
-    positive_f1: float
-    positive_n_dugs: int = 0
+    macro: Scores
+    example: Scores
+    positive: Scores
+    positive_n_dugs: int
 
     def to_dict(self) -> dict:
         """Flat machine-readable view; key names are stable.
@@ -130,32 +142,20 @@ class EvalReport:
             "n_candidates": self.n_candidates,
             "validity_rate": self.validity_rate,
             "undefined_predictions": self.undefined_predictions,
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-                "labels": list(self.macro_labels),
-            },
-            "example_averaged": {
-                "precision": self.example_precision,
-                "recall": self.example_recall,
-                "f1": self.example_f1,
-            },
-            "positive_class": {
-                "precision": self.positive_precision,
-                "recall": self.positive_recall,
-                "f1": self.positive_f1,
-                "n_dugs": self.positive_n_dugs,
-            },
+            "macro": {**self.macro.to_dict(), "labels": list(self.macro_labels)},
+            "example_averaged": self.example.to_dict(),
+            "positive_class": {**self.positive.to_dict(), "n_dugs": self.positive_n_dugs},
             "per_label": per_label,
         }
 
     def format_table(self) -> str:
         """Human-readable aligned table of the report."""
-        width = max(
-            [len(label) for label in self.per_label]
-            + [len("label"), len("example-averaged"), len("positive-class")]
-        )
+        families = [
+            ("label-macro", self.macro, ""),
+            ("example-averaged", self.example, ""),
+            ("positive-class", self.positive, f"  ({self.positive_n_dugs} guidelines)"),
+        ]
+        width = max(map(len, [*self.per_label, "label", *(name for name, _, _ in families)]))
         lines = [
             f"{'label':<{width}}  {'prec':>6}  {'rec':>6}  {'f1':>6}  {'supp':>5}  {'pred':>5}",
         ]
@@ -165,33 +165,25 @@ class EvalReport:
                 f"{m.f1:>6.3f}  {m.support:>5d}  {m.predicted:>5d}"
             )
         lines.append("")
-        lines.append(
-            f"{'label-macro':<{width}}  {self.macro_precision:>6.3f}  "
-            f"{self.macro_recall:>6.3f}  {self.macro_f1:>6.3f}"
-        )
-        lines.append(
-            f"{'example-averaged':<{width}}  {self.example_precision:>6.3f}  "
-            f"{self.example_recall:>6.3f}  {self.example_f1:>6.3f}"
-        )
-        lines.append(
-            f"{'positive-class':<{width}}  {self.positive_precision:>6.3f}  "
-            f"{self.positive_recall:>6.3f}  {self.positive_f1:>6.3f}  "
-            f"({self.positive_n_dugs} guidelines)"
-        )
+        for name, s, note in families:
+            lines.append(f"{name:<{width}}  {s.precision:>6.3f}  {s.recall:>6.3f}  {s.f1:>6.3f}{note}")
         lines.append(f"validity rate: {self.validity_rate:.4f}")
         lines.append(f"undefined predictions: {self.undefined_predictions}")
         return "\n".join(lines)
 
 
-def _means(rows: Sequence[tuple[float, float, float]]) -> tuple[float, ...]:
-    return tuple(sum(column) / len(rows) for column in zip(*rows)) if rows else (1.0, 1.0, 1.0)
+_VACUOUS = Scores(1.0, 1.0, 1.0)
 
 
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def _means(rows: Sequence[Scores]) -> Scores:
+    return Scores(*(sum(column) / len(rows) for column in zip(*rows))) if rows else _VACUOUS
+
+
+def _prf(tp: int, fp: int, fn: int) -> Scores:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return Scores(precision, recall, f1)
 
 
 def align_ids(gold: Sequence[Dug], pairs: Iterable[tuple[str, object]]) -> dict:
@@ -212,7 +204,7 @@ def align_ids(gold: Sequence[Dug], pairs: Iterable[tuple[str, object]]) -> dict:
     return by_id
 
 
-def score_labels(labels: Iterable, gold_sets: Sequence[AbstractSet], pred_sets: Sequence[AbstractSet]) -> dict:
+def score_labels(labels: Iterable, gold_sets: Sequence[Set], pred_sets: Sequence[Set]) -> dict:
     """``{label: LabelMetrics}`` over guidelines' aligned gold and predicted label sets.
 
     One pass over the sets counts support, predicted and true positives for
@@ -236,9 +228,9 @@ def score_labels(labels: Iterable, gold_sets: Sequence[AbstractSet], pred_sets: 
     return per_label
 
 
-def macro_average(metrics: Iterable[LabelMetrics]) -> tuple[float, ...]:
+def macro_average(metrics: Iterable[LabelMetrics]) -> Scores:
     """Mean precision, recall and F1 of ``metrics`` (1.0 each over nothing)."""
-    return _means([(m.precision, m.recall, m.f1) for m in metrics])
+    return _means([Scores(m.precision, m.recall, m.f1) for m in metrics])
 
 
 def _candidate_text(entry) -> object:
@@ -325,16 +317,13 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         if per_label[label].support > 0
         or (label == UNDEFINED_LABEL and per_label[label].predicted > 0)
     )
-    macro_precision, macro_recall, macro_f1 = macro_average([per_label[l] for l in macro_labels])
 
-    def example_scores(pairs: Sequence[tuple[set, set]]) -> tuple[float, ...]:
+    def example_scores(pairs: Sequence[tuple[set, set]]) -> Scores:
         # A guideline scores as one label would, and 1.0 when gold and prediction are empty.
-        return _means([(_prf(len(g & p), len(p - g), len(g - p)) if g or p else (1.0,) * 3) for g, p in pairs])
+        return _means([_prf(len(g & p), len(p - g), len(g - p)) if g or p else _VACUOUS for g, p in pairs])
 
     pairs = list(zip(gold_sets, pred_sets))
-    example_precision, example_recall, example_f1 = example_scores(pairs)
     positive_pairs = [(g, p) for g, p in pairs if g]
-    positive_precision, positive_recall, positive_f1 = example_scores(positive_pairs)
 
     return EvalReport(
         n_dugs=len(gold),
@@ -343,15 +332,9 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         undefined_predictions=undefined_predictions,
         per_label=per_label,
         macro_labels=macro_labels,
-        macro_precision=macro_precision,
-        macro_recall=macro_recall,
-        macro_f1=macro_f1,
-        example_precision=example_precision,
-        example_recall=example_recall,
-        example_f1=example_f1,
-        positive_precision=positive_precision,
-        positive_recall=positive_recall,
-        positive_f1=positive_f1,
+        macro=macro_average([per_label[l] for l in macro_labels]),
+        example=example_scores(pairs),
+        positive=example_scores(positive_pairs),
         positive_n_dugs=len(positive_pairs),
     )
 

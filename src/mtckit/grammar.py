@@ -16,7 +16,9 @@ the canonical form plus a small set of lenient rewrites (plural units,
 number words one..twelve, count articles such as "3 times a day",
 "times daily", mixed case); :func:`serialize` always emits the canonical
 form, so ``parse_mtc(serialize(m)) == m`` for every well-formed value.
-Counts and clock times take ASCII digits only.
+Counts and clock times take ASCII digits only. Input that is not a ``str``
+(``None`` included) is a ``TypeError`` naming the parameter, never a
+:class:`NonvalidMtcError`.
 
 Model output repeats a narrow vocabulary, so :func:`parse_mtc` keeps the
 outcome of the last ``PARSE_CACHE_SIZE`` distinct strings in an LRU cache:
@@ -496,9 +498,12 @@ def parse_mtc(text: str) -> Mtc:
     Accepts canonical strings and the lenient variants listed in the module
     docstring. Raises :class:`NonvalidMtcError` when no constraint form
     matches the whole string, when a numeric range stands where a count
-    belongs, or when the input is empty. Results are memoized per string
-    (see :func:`_parse_memo`); every rejection raises a fresh error.
+    belongs, or when the input is empty, and ``TypeError`` when ``text`` is
+    not a ``str``. Results are memoized per string (see :func:`_parse_memo`);
+    every rejection raises a fresh error.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {type(text).__name__}")
     result = _parse_memo(text)
     if isinstance(result, str):
         raise NonvalidMtcError(result)
@@ -521,7 +526,7 @@ def _parse_memo(text: str) -> Mtc | str:
 
 def _parse(text: str) -> Mtc:
     """:func:`parse_mtc` without the memo."""
-    if text is None or not text.strip():
+    if not text.strip():
         raise NonvalidMtcError("empty string")
     tokens = text.lower().split()
     negated = False
@@ -541,7 +546,7 @@ def _parse(text: str) -> Mtc:
 
 
 def is_valid(text: str) -> bool:
-    """True iff ``text`` parses as a single MTC."""
+    """True iff ``text`` parses as a single MTC; ``TypeError`` when it is not a ``str``."""
     try:
         parse_mtc(text)
         return True

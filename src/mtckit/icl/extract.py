@@ -112,6 +112,8 @@ def extract(
         request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens)
         try:
             response = client.complete(request)
+            if not isinstance(response.text, str):
+                raise TypeError(f"completion text must be a string, got {type(response.text).__name__}")
         except Exception as exc:  # any client failure marks the record failed
             error = str(exc) if isinstance(exc, ServiceError) else f"{type(exc).__name__}: {exc}"
             break

@@ -14,7 +14,9 @@ Model answers repeat a narrow vocabulary, so :func:`normalize_raw_output`
 and :func:`normalize_activity` each keep the results of the last
 ``NORMALIZE_CACHE_SIZE`` distinct strings in an LRU cache; the results are
 immutable, so callers share one value, and ``__wrapped__`` is the uncached
-function. Number words and time units come from :mod:`mtckit.grammar`.
+function. Input that is not a ``str`` (``None`` included) is a ``TypeError``
+naming the parameter, raised before the cache is consulted. Number words and
+time units come from :mod:`mtckit.grammar`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,23 @@ _INSTRUCTION_STUBS = ("take ", "taken ", "taking ", "use ")
 _QUOTE_PAIRS = [('"', '"'), ("'", "'"), ("`", "`")]
 
 
+def _memoized(function):
+    """``function`` of one string, memoized per string, with the type checked first:
+    any other argument is a ``TypeError`` naming the parameter, never a cache error.
+    ``cache_info`` is the cache's; ``__wrapped__`` is ``function`` itself."""
+    memo = functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)(function)
+    parameter = function.__code__.co_varnames[0]
+
+    @functools.wraps(function)
+    def checked(text):
+        if not isinstance(text, str):
+            raise TypeError(f"{parameter} must be a string, got {type(text).__name__}")
+        return memo(text)
+
+    checked.cache_info = memo.cache_info
+    return checked
+
+
 def default_activity_aliases() -> dict[str, str]:
     """Alias table shipped with the package (a copy; the file is read once)."""
     return dict(_default_aliases())
@@ -50,7 +69,7 @@ def _default_aliases() -> dict[str, str]:
     return {" ".join(alias.lower().split()): " ".join(canonical.lower().split()) for alias, canonical in rows}
 
 
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+@_memoized
 def normalize_activity(activity: str) -> str:
     """Canonical activity phrase: default alias table applied, else lowercased and collapsed.
 
@@ -116,7 +135,7 @@ def _apply_activity_alias(tokens: list[str]) -> list[str]:
     return tokens
 
 
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+@_memoized
 def normalize_raw_output(raw: str) -> NormalizationResult:
     """Reduce one raw completion to candidate constraint strings.
 
@@ -133,7 +152,7 @@ def normalize_raw_output(raw: str) -> NormalizationResult:
     Memoized per raw string; the result is frozen and holds only tuples,
     so every caller can share it.
     """
-    text = _strip_wrapping(raw or "")
+    text = _strip_wrapping(raw)
     if " ".join(text.lower().split()) == "none":
         return NormalizationResult(())
 

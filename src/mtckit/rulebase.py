@@ -6,19 +6,21 @@ in a statement, using case-insensitive phrase patterns. Patterns live in a
 plain-text table (``type<TAB>pattern``, ``#`` comments) so the rule base
 can be edited without touching code. Pattern syntax is a literal phrase
 with two placeholders: ``{num}`` matches an integer and ``{clock}`` a
-12-hour clock time.
+12-hour clock time. :func:`evaluate_type_classifier` scores the types with
+the multilabel core of :mod:`mtckit.evaluation`; its report's macro average
+is one :class:`~mtckit.evaluation.Scores` value (``report.macro.f1``).
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .dataset import Dug
-from .evaluation import LabelMetrics, align_ids, macro_average, score_labels
+from .evaluation import LabelMetrics, Scores, align_ids, macro_average, score_labels
 from .grammar import NUMBER_WORDS, mtc_type
 from .tables import DATA, read_table
 
@@ -91,9 +93,7 @@ class TypePrediction:
 @dataclass(frozen=True)
 class TypeClassifierReport:
     per_type: dict[int, LabelMetrics]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
+    macro: Scores
 
     def to_dict(self) -> dict:
         return {
@@ -106,11 +106,7 @@ class TypeClassifierReport:
                 }
                 for t, m in sorted(self.per_type.items())
             },
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
+            "macro": self.macro.to_dict(),
         }
 
 
@@ -133,4 +129,4 @@ def evaluate_type_classifier(
     gold_sets = [{mtc_type(m) for m in dug.labels} for dug in gold]
     pred_sets = [pred_by_id[dug.id] for dug in gold]
     per_type = score_labels(sorted(set().union(*gold_sets, *pred_sets)), gold_sets, pred_sets)
-    return TypeClassifierReport(per_type, *macro_average(per_type.values()))
+    return TypeClassifierReport(per_type, macro_average(per_type.values()))

@@ -518,6 +518,68 @@ def test_constructor_and_build_agree_for_any_event_order(events, window, mtc, cf
         assert check(mtc, direct, cfg) == check(mtc, built, cfg)
 
 
+def _reference_sort_and_clip(events, window):
+    """The events a timeline keeps, sorted and clipped by comparing aware datetimes."""
+    ordered = sorted(events, key=lambda e: (e.timestamp, e.timestamp.utcoffset(), e.kind, e.name))
+    start = window[0] if window[0] is not None else ordered[0].timestamp
+    end = window[1] if window[1] is not None else ordered[-1].timestamp
+    return [e for e in ordered if start <= e.timestamp <= end]
+
+
+def _shown(event):
+    return event.kind, event.name, event.timestamp.isoformat()
+
+
+#: Instants one microsecond apart this far out round to one float timestamp.
+FAR = datetime(9000, 1, 1, tzinfo=UTC)
+
+
+@st.composite
+def _timelines_in_many_offsets(draw):
+    base, step = draw(st.sampled_from([(DAY0, timedelta(minutes=30)), (FAR, timedelta(microseconds=1))]))
+
+    def at(n, zone):
+        return (base + n * step).astimezone(zone)
+
+    events = draw(st.lists(
+        st.builds(lambda kind, name, n, zone: TimelineEvent(kind, name, at(n, zone)),
+                  st.sampled_from(("intake", "activity")), st.sampled_from(("eating", "sleep")),
+                  st.integers(0, 8), st.sampled_from(ZONES)),
+        max_size=12,
+    ))
+    bound = st.one_of(st.none(), st.builds(at, st.integers(-1, 9), st.sampled_from(ZONES)))
+    return events, draw(st.tuples(bound, bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timelines_in_many_offsets())
+def test_timeline_sorts_and_clips_as_comparing_datetimes_would(case):
+    events, window = case
+    line = _outcome(lambda: Timeline(tuple(events), window))
+    if isinstance(line, Timeline):
+        # isoformat keeps the offset, which equality of aware datetimes ignores
+        assert [_shown(e) for e in line.events] == [_shown(e) for e in _reference_sort_and_clip(events, window)]
+
+
+def test_events_in_two_offsets_build_nearly_as_fast_as_in_one():
+    plus2 = timezone(timedelta(hours=2))
+    instants = [DAY0 + timedelta(minutes=7 * i) for i in range(50_000)]
+    random.Random(0).shuffle(instants)
+    one_zone = tuple(TimelineEvent("intake", "m", t) for t in instants)
+    two_zones = tuple(TimelineEvent("intake", "m", t.astimezone(plus2) if i % 2 else t) for i, t in enumerate(instants))
+
+    def fastest(events):
+        times = []
+        for _ in range(3):
+            began = time.perf_counter()
+            Timeline(events)
+            times.append(time.perf_counter() - began)
+        return min(times)
+
+    one, two = fastest(one_zone), fastest(two_zones)
+    assert two < 3 * one, f"two offsets took {two:.3f} s, one offset {one:.3f} s"
+
+
 def test_empty_timeline_needs_window():
     for make in (lambda: Timeline.build([]), lambda: Timeline(()), lambda: Timeline((), (ts(0, 0), None))):
         with pytest.raises(ValueError, match="an empty timeline needs an explicit window"):

@@ -362,6 +362,36 @@ def test_eval_bad_prediction_line_names_path_and_line(tmp_path, pool, capsys):
         assert err.startswith(f"error: {pred}:2: ") and reason in err
 
 
+@pytest.mark.parametrize("blank", ["", "\n\n"])
+def test_eval_empty_prediction_file_names_the_file(tmp_path, pool, capsys, blank):
+    gold = tmp_path / "gold.jsonl"
+    dataset.dump_dugs(pool[:1], gold)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(blank, encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--gold", str(gold), "--pred", str(pred)])
+    assert code == 1 and out == ""
+    assert err == f"error: {pred}: missing predictions for ['{pool[0].id}'], unmatched predictions []\n"
+    empty_gold = tmp_path / "empty_gold.jsonl"
+    empty_gold.write_text(blank, encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--gold", str(empty_gold), "--pred", str(pred), "--format", "json-lines"])
+    assert code == 0 and err == "" and json.loads(out)["n_dugs"] == 0
+
+
+@pytest.mark.parametrize("bounds", [[], ["--window-start", "2026-03-02T00:00:00+00:00"],
+                                    ["--window-end", "2026-03-03T00:00:00+00:00"]])
+def test_adhere_empty_timeline_names_the_file_and_the_window_flags(tmp_path, capsys, bounds):
+    events = tmp_path / "events.jsonl"
+    events.write_text("", encoding="utf-8")
+    argv = ["adhere", "--mtc", "2 times day", "--timeline", str(events)]
+    code, out, err = run(capsys, argv + bounds)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {events}: an empty timeline needs an explicit window")
+    assert "--window-start" in err and "--window-end" in err
+    both = ["--window-start", "2026-03-02T00:00:00+00:00", "--window-end", "2026-03-03T00:00:00+00:00"]
+    code, out, err = run(capsys, argv + both)
+    assert code == 0 and out.startswith("indeterminate")
+
+
 @pytest.mark.parametrize(
     "command", [["dataset-stats"], ["rules-classify", "--eval"], ["fewshot-select", "--k", "1"]]
 )

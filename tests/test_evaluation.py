@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,7 @@ from mtckit import Dug, grammar
 from mtckit.evaluation import (
     UNDEFINED_LABEL,
     MismatchedIdsError,
+    Scores,
     align_ids,
     build_label_space,
     evaluate,
@@ -56,9 +59,9 @@ def test_map_to_label():
 def test_identity_predictions_score_one(pool):
     records = [{"dug_id": d.id, "candidates": list(d.label_strings)} for d in pool]
     report = evaluate(pool, records)
-    assert report.macro_precision == report.macro_recall == report.macro_f1 == 1.0
-    assert report.example_precision == report.example_recall == report.example_f1 == 1.0
-    assert report.positive_precision == report.positive_recall == report.positive_f1 == 1.0
+    assert report.macro.precision == report.macro.recall == report.macro.f1 == 1.0
+    assert report.example.precision == report.example.recall == report.example.f1 == 1.0
+    assert report.positive.precision == report.positive.recall == report.positive.f1 == 1.0
     assert report.validity_rate == 1.0
     assert report.undefined_predictions == 0
 
@@ -164,14 +167,14 @@ def test_confusion_fixture_frozen_values():
     # values computed with the brute-force oracle before the implementation
     assert report.validity_rate == pytest.approx(11 / 13)
     assert report.undefined_predictions == 3
-    assert report.macro_precision == pytest.approx(0.46296296296296297, abs=1e-9)
-    assert report.macro_recall == pytest.approx(0.4444444444444444, abs=1e-9)
-    assert report.macro_f1 == pytest.approx(0.44074074074074077, abs=1e-9)
-    assert report.example_precision == pytest.approx(0.5, abs=1e-9)
-    assert report.example_recall == pytest.approx(6.5 / 12, abs=1e-9)
-    assert report.example_f1 == pytest.approx(0.5, abs=1e-9)
-    assert report.positive_precision == pytest.approx(0.5, abs=1e-9)
-    assert report.positive_recall == pytest.approx(0.55, abs=1e-9)
+    assert report.macro.precision == pytest.approx(0.46296296296296297, abs=1e-9)
+    assert report.macro.recall == pytest.approx(0.4444444444444444, abs=1e-9)
+    assert report.macro.f1 == pytest.approx(0.44074074074074077, abs=1e-9)
+    assert report.example.precision == pytest.approx(0.5, abs=1e-9)
+    assert report.example.recall == pytest.approx(6.5 / 12, abs=1e-9)
+    assert report.example.f1 == pytest.approx(0.5, abs=1e-9)
+    assert report.positive.precision == pytest.approx(0.5, abs=1e-9)
+    assert report.positive.recall == pytest.approx(0.55, abs=1e-9)
     assert report.positive_n_dugs == 10
     assert report.per_label["2 times day"].precision == pytest.approx(2 / 3)
     assert report.per_label["before eating"].recall == pytest.approx(0.5)
@@ -239,6 +242,34 @@ def test_report_table_and_dict_shapes():
     for metrics in d["per_label"].values():
         for key in ("precision", "recall", "f1"):
             assert 0.0 <= metrics[key] <= 1.0
+
+
+def test_report_dicts_keep_the_oracle_keys_and_scores_is_a_value():
+    # perfbench/oracle_check.py and tests/oracles.py read exactly these keys.
+    prf = {"precision", "recall", "f1"}
+    gold, records = _confusion_inputs()
+    report = evaluate(gold, records)
+    d = report.to_dict()
+    assert set(d["macro"]) == prf | {"labels"} and d["macro"]["labels"] == list(report.macro_labels)
+    assert set(d["example_averaged"]) == prf
+    assert set(d["positive_class"]) == prf | {"n_dugs"} and d["positive_class"]["n_dugs"] == report.positive_n_dugs
+    assert all(set(row) == prf | {"support", "predicted"} for row in d["per_label"].values())
+    types = evaluate_type_classifier(gold, [TypePrediction(dug.id, frozenset({2})) for dug in gold])
+    assert [f.name for f in fields(types)] == ["per_type", "macro"]
+    t = types.to_dict()
+    assert set(t) == {"per_type", "macro"} and t["macro"] == types.macro.to_dict()
+    assert all(set(row) == prf | {"support"} for row in t["per_type"].values())
+
+    scores = Scores(0.5, 0.25, 1 / 3)
+    assert scores == Scores(0.5, 0.25, 1 / 3) and hash(scores) == hash(Scores(0.5, 0.25, 1 / 3))
+    assert scores != Scores(0.5, 0.25, 0.0)
+    assert scores.to_dict() == {"precision": 0.5, "recall": 0.25, "f1": 1 / 3}
+    with pytest.raises(AttributeError):
+        scores.f1 = 1.0
+    copy = pickle.loads(pickle.dumps(scores))
+    assert copy == scores and type(copy) is Scores
+    assert isinstance(report.macro, Scores) and isinstance(report.example, Scores)
+    assert isinstance(report.positive, Scores)
 
 
 # ------------------------------------------------------- wide label spaces

@@ -713,6 +713,18 @@ def test_extract_marks_malformed_http_body_failed(pool, payload):
     assert record.raw_outputs == () and record.predictions == () and record.mtcs == ()
 
 
+@pytest.mark.parametrize("text", [None, 5, b"3 times day"])
+def test_extract_marks_a_completion_that_is_not_text_failed(pool, text):
+    class NotText:
+        def complete(self, request):
+            return CompletionResponse(text)
+
+    dug = make_dug("q9", "Take with food as directed.", [])
+    record = extract(dug, PromptStrategy.simple(), _fewshot(pool), NotText())
+    assert record.failed and record.error == f"TypeError: completion text must be a string, got {type(text).__name__}"
+    assert record.raw_outputs == () and record.candidates == () and record.mtcs == ()
+
+
 class _FailingClient:
     """Answers every prompt, but raises ``exc`` for the query that holds ``marker``."""
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+from collections import UserString
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mtckit import grammar, normalize, rulebase, tables
+from mtckit import evaluation, grammar, normalize, rulebase, tables
 from mtckit.normalize import (
     NORMALIZE_CACHE_SIZE,
     default_activity_aliases,
@@ -235,3 +236,33 @@ def test_number_words_come_from_the_grammar():
         assert grammar.parse_mtc(f"{word} times day").n == value
         assert candidates(f"{word} times daily") == (f"{value} times day",)
         assert rulebase.compile_pattern("{num} times").search(f"take {word} times a day")
+
+
+_NON_STRINGS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.binary(),
+    st.text().map(UserString),
+    st.lists(st.text(), max_size=3),
+    st.tuples(st.text()),
+    st.dictionaries(st.text(), st.integers(), max_size=2),
+    st.builds(object),
+)
+
+#: The entry points that take one string, with the name of that parameter.
+_STRING_ENTRY_POINTS = [
+    (grammar.parse_mtc, "text"),
+    (grammar.is_valid, "text"),
+    (lambda value: evaluation.map_to_label(value, set()), "candidate"),
+    (normalize_raw_output, "raw"),
+    (normalize_activity, "activity"),
+]
+
+
+@given(_NON_STRINGS)
+def test_non_string_input_is_a_type_error_naming_the_parameter(value):
+    for call, parameter in _STRING_ENTRY_POINTS:
+        with pytest.raises(TypeError, match=f"^{parameter} must be a string, got {type(value).__name__}$"):
+            call(value)

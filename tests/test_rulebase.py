@@ -153,31 +153,31 @@ def test_six_dug_fixture_against_hand_computation():
     assert report.per_type[4].precision == pytest.approx(0.5)
     assert report.per_type[4].recall == pytest.approx(1.0)
     assert report.per_type[4].f1 == pytest.approx(2 / 3)
-    assert report.macro_precision == pytest.approx(6.5 / 7)
-    assert report.macro_recall == pytest.approx(1.0)
-    assert report.macro_f1 == pytest.approx(20 / 21)
+    assert report.macro.precision == pytest.approx(6.5 / 7)
+    assert report.macro.recall == pytest.approx(1.0)
+    assert report.macro.f1 == pytest.approx(20 / 21)
 
     oracle = oracle_type_metrics(
         [(d.id, _GOLD_TYPES[d.id]) for d in dugs],
         {p.dug_id: set(p.types) for p in preds},
     )
-    assert report.macro_precision == pytest.approx(oracle["macro"]["precision"], abs=1e-12)
-    assert report.macro_f1 == pytest.approx(oracle["macro"]["f1"], abs=1e-12)
+    assert report.macro.precision == pytest.approx(oracle["macro"]["precision"], abs=1e-12)
+    assert report.macro.f1 == pytest.approx(oracle["macro"]["f1"], abs=1e-12)
 
 
 def test_identical_predictions_score_one():
     dugs = _fixture_dugs()
     preds = [TypePrediction(d.id, frozenset(_GOLD_TYPES[d.id])) for d in dugs]
     report = evaluate_type_classifier(dugs, preds)
-    assert report.macro_precision == report.macro_recall == report.macro_f1 == 1.0
+    assert report.macro.precision == report.macro.recall == report.macro.f1 == 1.0
 
 
 def test_empty_predictions_zero_recall():
     dugs = _fixture_dugs()
     preds = [TypePrediction(d.id, frozenset()) for d in dugs]
     report = evaluate_type_classifier(dugs, preds)
-    assert report.macro_recall == 0.0
-    assert report.macro_f1 == 0.0
+    assert report.macro.recall == 0.0
+    assert report.macro.f1 == 0.0
 
 
 def test_mismatched_ids_raise():
@@ -218,6 +218,6 @@ def test_random_corpora_match_oracle():
             [(d.id, {mtc_type(m) for m in d.labels}) for d in dugs],
             {p.dug_id: set(p.types) for p in preds},
         )
-        assert report.macro_precision == pytest.approx(oracle["macro"]["precision"], abs=1e-12)
-        assert report.macro_recall == pytest.approx(oracle["macro"]["recall"], abs=1e-12)
-        assert report.macro_f1 == pytest.approx(oracle["macro"]["f1"], abs=1e-12)
+        assert report.macro.precision == pytest.approx(oracle["macro"]["precision"], abs=1e-12)
+        assert report.macro.recall == pytest.approx(oracle["macro"]["recall"], abs=1e-12)
+        assert report.macro.f1 == pytest.approx(oracle["macro"]["f1"], abs=1e-12)
