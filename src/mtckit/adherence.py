@@ -12,7 +12,12 @@ and anything not decidable from the timeline alone (regimen duration,
 unobserved activities, windows shorter than one period) is reported as
 ``indeterminate`` rather than guessed.
 
-Clock-time comparisons use each event's own local wall clock, so a
+Gaps, offsets, horizons and frequency periods (types 1-4) are elapsed
+time. Every timestamp and window bound is kept at the fixed UTC offset it
+has, with its wall clock unchanged, because datetime arithmetic inside one
+zone with rules (a ``zoneinfo.ZoneInfo``) counts wall-clock time: 22:00 to
+04:00 across a spring-forward night is five hours, not six. The clock rules
+(types 5-7) use each event's own local wall clock, so a
 traveling patient's 9 am intake stays a 9 am intake. A consistency
 constraint with a clock anchor (``at 9 am each day``) requires every
 intake's clock time within the consistency tolerance of the anchor,
@@ -51,6 +56,7 @@ from .grammar import (
     TimeDependency,
     TimeOfDay,
     TimeUnit,
+    mtc_type,
     serialize,
 )
 from .normalize import normalize_activity
@@ -79,6 +85,15 @@ def _instant(event: "TimelineEvent") -> timedelta:
     return event.timestamp - _EPOCH
 
 
+def _fixed_offset(value: datetime, what: str) -> datetime:
+    """``value``'s wall clock at the fixed ``timezone`` of its UTC offset, so
+    that subtracting and comparing it measure elapsed time."""
+    offset = value.utcoffset() if isinstance(value, datetime) else None
+    if offset is None:
+        raise ValueError(f"{what} must be a datetime with a timezone, got {value!r}")
+    return value if type(value.tzinfo) is timezone else value.replace(tzinfo=timezone(offset))
+
+
 class VerdictStatus(str, Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
@@ -100,7 +115,8 @@ class TimelineEvent:
     """A medication intake or a recognized patient activity.
 
     Slotted, and its name comes from the memoized :func:`normalize_activity`,
-    so events with the same activity share one name string.
+    so events with the same activity share one name string. A timestamp whose
+    ``tzinfo`` is not a fixed ``datetime.timezone`` is stored at its UTC offset.
     """
 
     kind: str
@@ -113,9 +129,8 @@ class TimelineEvent:
         if not isinstance(self.name, str):
             raise ValueError(f"event name must be a string, got {self.name!r}")
         ts = self.timestamp
-        # A fixed-offset ``timezone`` always has an offset; the utcoffset() call costs more.
-        if not isinstance(ts, datetime) or type(ts.tzinfo) is not timezone and ts.utcoffset() is None:
-            raise ValueError(f"event timestamp must be a datetime with a timezone, got {ts!r}")
+        if not isinstance(ts, datetime) or type(ts.tzinfo) is not timezone:
+            object.__setattr__(self, "timestamp", _fixed_offset(ts, "event timestamp"))
         object.__setattr__(self, "name", normalize_activity(self.name))
 
     def minutes_into_day(self) -> int:
@@ -141,11 +156,8 @@ class Timeline:
         start, end = self.window
         if not ordered and (start is None or end is None):
             raise ValueError("an empty timeline needs an explicit window")
-        for bound in self.window:
-            if bound is not None and (not isinstance(bound, datetime) or bound.utcoffset() is None):
-                raise ValueError(f"window bound must be a datetime with a timezone, got {bound!r}")
-        start = start if start is not None else ordered[0].timestamp
-        end = end if end is not None else ordered[-1].timestamp
+        start = ordered[0].timestamp if start is None else _fixed_offset(start, "window bound")
+        end = ordered[-1].timestamp if end is None else _fixed_offset(end, "window bound")
         earliest, latest = start - _EPOCH, end - _EPOCH
         if earliest > latest:
             raise ValueError("window start is after window end")
@@ -202,7 +214,8 @@ def _default_day_parts() -> dict[DayPart, tuple[time, time]]:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """All adherence thresholds, with the documented defaults."""
+    """All adherence thresholds, with the documented defaults. A field of the
+    wrong type raises ``TypeError`` naming it; a negative duration, ``ValueError``."""
 
     #: allowed slack around the exact offset of a definitive dependency
     dependency_tolerance: timedelta = timedelta(minutes=10)
@@ -214,6 +227,21 @@ class ToleranceConfig:
     #: half-open local-time windows for the named day parts
     day_part_windows: dict[DayPart, tuple[time, time]] = field(default_factory=_default_day_parts)
 
+    def __post_init__(self) -> None:
+        for name in ("dependency_tolerance", "imprecision_horizon", "consistency_tolerance"):
+            value = getattr(self, name)
+            if not isinstance(value, timedelta):
+                raise TypeError(f"{name} must be a timedelta, got {value!r}")
+            if value < timedelta(0):
+                raise ValueError(f"{name} must not be negative, got {value}")
+        windows = self.day_part_windows
+        if not isinstance(windows, dict) or not all(
+            isinstance(part, DayPart) and isinstance(pair, tuple) and len(pair) == 2
+            and all(isinstance(clock, time) and clock.tzinfo is None for clock in pair)
+            for part, pair in windows.items()
+        ):
+            raise TypeError(f"day_part_windows must map DayPart to a pair of naive datetime.time, got {windows!r}")
+
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
@@ -222,11 +250,10 @@ def _fmt(event: TimelineEvent) -> str:
     return f"{event.kind} {event.name!r} at {event.timestamp.isoformat()}"
 
 
-def _check_frequency(mtc: Frequency, timeline: Timeline, intakes) -> Verdict:
+def _check_frequency(mtc: Frequency, timeline: Timeline, intakes, cfg: ToleranceConfig) -> Verdict:
     period = UNIT_DURATION[mtc.unit]
     times = [e.timestamp for e in intakes]
-    start, end = timeline.window
-    period_start = start
+    period_start, end = timeline.window
     checked = 0
     while period_start + period <= end:
         period_end = period_start + period
@@ -249,7 +276,7 @@ def _check_frequency(mtc: Frequency, timeline: Timeline, intakes) -> Verdict:
     )
 
 
-def _check_interval(mtc: Interval, intakes) -> Verdict:
+def _check_interval(mtc: Interval, timeline: Timeline, intakes, cfg: ToleranceConfig) -> Verdict:
     if mtc.ip is IntervalPrep.FOR:
         return Verdict(
             VerdictStatus.INDETERMINATE,
@@ -261,94 +288,63 @@ def _check_interval(mtc: Interval, intakes) -> Verdict:
             f"{len(intakes)} intake(s) in window; need at least two to measure gaps",
         )
     bound = mtc.n * UNIT_DURATION[mtc.unit]
+    apart = mtc.ip is IntervalPrep.APART
     for earlier, later in zip(intakes, intakes[1:]):
         gap = later.timestamp - earlier.timestamp
-        if mtc.ip is IntervalPrep.APART and gap < bound:
+        if gap < bound if apart else gap > bound:
             return Verdict(
                 VerdictStatus.VIOLATED,
-                f"gap of {gap} between {_fmt(earlier)} and {_fmt(later)} is under {bound}",
+                f"gap of {gap} between {_fmt(earlier)} and {_fmt(later)} {'is under' if apart else 'exceeds'} {bound}",
             )
-        if mtc.ip is IntervalPrep.WITHIN and gap > bound:
-            return Verdict(
-                VerdictStatus.VIOLATED,
-                f"gap of {gap} between {_fmt(earlier)} and {_fmt(later)} exceeds {bound}",
-            )
-    relation = "at least" if mtc.ip is IntervalPrep.APART else "at most"
     return Verdict(
         VerdictStatus.SATISFIED,
-        f"all {len(intakes) - 1} consecutive gap(s) are {relation} {bound}",
+        f"all {len(intakes) - 1} consecutive gap(s) are {'at least' if apart else 'at most'} {bound}",
     )
 
 
-def _activity_times(timeline: Timeline, activity: str) -> list[datetime]:
-    return [e.timestamp for e in timeline.activities(activity)]
+#: Timestamps count whole microseconds, so an open window bound is the
+#: closed bound one microsecond inside it.
+_TICK = timedelta(microseconds=1)
 
 
-def _check_definitive_dependency(
-    mtc: DefinitiveDependency, timeline: Timeline, intakes, cfg: ToleranceConfig
+def _check_dependency(
+    mtc: DefinitiveDependency | ImpreciseDependency, timeline: Timeline, intakes, cfg: ToleranceConfig
 ) -> Verdict:
-    times = _activity_times(timeline, mtc.activity)
+    """Types 1 and 4: every intake has a matching activity in its window
+    ``[ts + low, ts + high]``, with ``low`` and ``high`` fixed per constraint."""
+    times = [e.timestamp for e in timeline.activities(mtc.activity)]
     if not times:
         return Verdict(
             VerdictStatus.INDETERMINATE,
             f"no {mtc.activity!r} activity events observed in window",
         )
-    offset = mtc.n * UNIT_DURATION[mtc.unit]
-    tolerance = cfg.dependency_tolerance
-    for intake in intakes:
-        # "before eating" means the intake precedes the activity by the offset
-        expected = (
-            intake.timestamp + offset
-            if mtc.dp is DependencyPrep.BEFORE
-            else intake.timestamp - offset
-        )
-        # some activity lies in [expected - tolerance, expected + tolerance]
-        i = bisect_left(times, expected - tolerance)
-        if i == len(times) or times[i] > expected + tolerance:
-            return Verdict(
-                VerdictStatus.VIOLATED,
-                f"{_fmt(intake)} has no {mtc.activity!r} event near {expected.isoformat()} "
-                f"(tolerance {tolerance})",
-            )
-    return Verdict(
-        VerdictStatus.SATISFIED,
-        f"every intake has a {mtc.activity!r} event at the expected offset",
-    )
-
-
-def _check_imprecise_dependency(
-    mtc: ImpreciseDependency, timeline: Timeline, intakes, cfg: ToleranceConfig
-) -> Verdict:
-    times = _activity_times(timeline, mtc.activity)
-    if not times:
-        return Verdict(
-            VerdictStatus.INDETERMINATE,
-            f"no {mtc.activity!r} activity events observed in window",
-        )
-    horizon = cfg.imprecision_horizon
+    before = mtc.dp is DependencyPrep.BEFORE
+    if isinstance(mtc, DefinitiveDependency):
+        # "before eating" means the intake precedes the activity by the offset;
+        # some activity lies within the tolerance of ts + offset
+        offset = mtc.n * UNIT_DURATION[mtc.unit] * (1 if before else -1)
+        tolerance = cfg.dependency_tolerance
+        low, high = offset - tolerance, offset + tolerance
+        missing = lambda ts: f"near {(ts + offset).isoformat()} (tolerance {tolerance})"
+        satisfied = f"every intake has a {mtc.activity!r} event at the expected offset"
+    else:
+        # before: some activity lies in (ts, ts + horizon]; after: in [ts - horizon, ts)
+        horizon = cfg.imprecision_horizon
+        low, high = (_TICK, horizon) if before else (-horizon, -_TICK)
+        missing = lambda ts: f"within {horizon} {'after' if before else 'before'} it"
+        satisfied = f"every intake is {mtc.dp.value} a {mtc.activity!r} event within {horizon}"
     for intake in intakes:
         ts = intake.timestamp
-        if mtc.dp is DependencyPrep.BEFORE:
-            # some activity lies in (ts, ts + horizon]
-            i = bisect_right(times, ts)
-            ok = i < len(times) and times[i] <= ts + horizon
-        else:
-            # some activity lies in [ts - horizon, ts)
-            i = bisect_left(times, ts - horizon)
-            ok = i < len(times) and times[i] < ts
-        if not ok:
-            side = "after" if mtc.dp is DependencyPrep.BEFORE else "before"
+        i = bisect_left(times, ts + low)
+        if i == len(times) or times[i] > ts + high:
             return Verdict(
                 VerdictStatus.VIOLATED,
-                f"{_fmt(intake)} has no {mtc.activity!r} event within {horizon} {side} it",
+                f"{_fmt(intake)} has no {mtc.activity!r} event {missing(ts)}",
             )
-    return Verdict(
-        VerdictStatus.SATISFIED,
-        f"every intake is {mtc.dp.value} a {mtc.activity!r} event within {horizon}",
-    )
+    return Verdict(VerdictStatus.SATISFIED, satisfied)
 
 
-def _check_time_dependency(mtc: TimeDependency, intakes) -> Verdict:
+def _check_time_dependency(mtc: TimeDependency, timeline: Timeline, intakes, cfg: ToleranceConfig) -> Verdict:
     bound = mtc.time.minutes_into_day()
     for intake in intakes:
         minutes = intake.minutes_into_day()
@@ -364,7 +360,7 @@ def _check_time_dependency(mtc: TimeDependency, intakes) -> Verdict:
     )
 
 
-def _check_consistency(mtc: Consistency, intakes, cfg: ToleranceConfig) -> Verdict:
+def _check_consistency(mtc: Consistency, timeline: Timeline, intakes, cfg: ToleranceConfig) -> Verdict:
     tolerance = cfg.consistency_tolerance
     if isinstance(mtc.time, ClockTime):
         anchor = mtc.time.minutes_into_day()
@@ -387,18 +383,14 @@ def _check_consistency(mtc: Consistency, intakes, cfg: ToleranceConfig) -> Verdi
         what = "clock times"
         minutes = [e.minutes_into_day() for e in intakes]
     spread = timedelta(minutes=max(minutes) - min(minutes))
-    if spread > tolerance:
-        return Verdict(
-            VerdictStatus.VIOLATED,
-            f"intake {what} spread over {spread}, beyond {tolerance}",
-        )
+    beyond = spread > tolerance
     return Verdict(
-        VerdictStatus.SATISFIED,
-        f"intake {what} spread over {spread}, within {tolerance}",
+        VerdictStatus.VIOLATED if beyond else VerdictStatus.SATISFIED,
+        f"intake {what} spread over {spread}, {'beyond' if beyond else 'within'} {tolerance}",
     )
 
 
-def _check_time_of_day(mtc: TimeOfDay, intakes, cfg: ToleranceConfig) -> Verdict:
+def _check_time_of_day(mtc: TimeOfDay, timeline: Timeline, intakes, cfg: ToleranceConfig) -> Verdict:
     window = cfg.day_part_windows.get(mtc.day_part)
     if window is None:
         return Verdict(
@@ -420,37 +412,32 @@ def _check_time_of_day(mtc: TimeOfDay, intakes, cfg: ToleranceConfig) -> Verdict
     )
 
 
+#: The check of each constraint type, as :func:`grammar.mtc_type` numbers them.
+_CHECKS = {
+    1: _check_dependency,
+    2: _check_frequency,
+    3: _check_interval,
+    4: _check_dependency,
+    5: _check_time_dependency,
+    6: _check_consistency,
+    7: _check_time_of_day,
+}
+
+
 def check(mtc: Mtc, timeline: Timeline, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdict:
     """Verdict for one constraint over one timeline.
 
     A negated constraint inverts satisfied and violated; indeterminate
-    stays indeterminate.
+    stays indeterminate. Raises ``TypeError`` if ``mtc`` is not an MTC value.
     """
+    rule = _CHECKS[mtc_type(mtc)]
     intakes = timeline.intakes()
-    if not intakes:
-        verdict = Verdict(VerdictStatus.INDETERMINATE, "no intake events in window")
-    elif isinstance(mtc, Frequency):
-        verdict = _check_frequency(mtc, timeline, intakes)
-    elif isinstance(mtc, Interval):
-        verdict = _check_interval(mtc, intakes)
-    elif isinstance(mtc, DefinitiveDependency):
-        verdict = _check_definitive_dependency(mtc, timeline, intakes, cfg)
-    elif isinstance(mtc, ImpreciseDependency):
-        verdict = _check_imprecise_dependency(mtc, timeline, intakes, cfg)
-    elif isinstance(mtc, TimeDependency):
-        verdict = _check_time_dependency(mtc, intakes)
-    elif isinstance(mtc, Consistency):
-        verdict = _check_consistency(mtc, intakes, cfg)
-    elif isinstance(mtc, TimeOfDay):
-        verdict = _check_time_of_day(mtc, intakes, cfg)
+    if intakes:
+        verdict = rule(mtc, timeline, intakes, cfg)
     else:
-        raise TypeError(f"not an MTC value: {mtc!r}")
+        verdict = Verdict(VerdictStatus.INDETERMINATE, "no intake events in window")
 
     if mtc.negated and verdict.status is not VerdictStatus.INDETERMINATE:
-        flipped = (
-            VerdictStatus.VIOLATED
-            if verdict.status is VerdictStatus.SATISFIED
-            else VerdictStatus.SATISFIED
-        )
+        flipped = VerdictStatus.VIOLATED if verdict.status is VerdictStatus.SATISFIED else VerdictStatus.SATISFIED
         return Verdict(flipped, f"negated {serialize(mtc)!r}: {verdict.explanation}")
     return verdict

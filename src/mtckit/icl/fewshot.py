@@ -139,6 +139,8 @@ def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSe
     pool itself lacks are recorded as gaps, not errors. Deterministic for a
     given pool, ``k`` and ``seed``.
     """
+    if k < 1:
+        raise InsufficientPoolError(f"k must be at least 1, got {k}")
     if k > len(pool):
         raise InsufficientPoolError(f"k={k} exceeds pool size {len(pool)}")
     pairs = {dug.id: _pair(dug) for dug in pool}

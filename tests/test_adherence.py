@@ -6,13 +6,15 @@ import json
 import pickle
 import random
 import time
-from datetime import datetime, timedelta, timezone, tzinfo
+import zoneinfo
+from datetime import datetime, time as dt_time, timedelta, timezone, tzinfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtckit import grammar
 from mtckit.adherence import (
+    DEFAULT_TOLERANCES,
     Timeline,
     TimelineEvent,
     ToleranceConfig,
@@ -20,7 +22,7 @@ from mtckit.adherence import (
     check,
     load_timeline,
 )
-from mtckit.grammar import parse_mtc, with_negated
+from mtckit.grammar import DayPart, mtc_type, parse_mtc, with_negated
 
 from conftest import BASE_TS, random_mtc, random_timeline
 from oracles import oracle_check
@@ -115,6 +117,26 @@ def test_interval_for_and_single_intake_indeterminate():
 def test_no_intakes_is_indeterminate():
     line = timeline([activity("eating", 0, 12)], start=ts(0, 0), end=ts(1, 0))
     assert check(parse_mtc("3 times day"), line).status is VerdictStatus.INDETERMINATE
+
+
+def test_check_refuses_a_value_that_is_not_an_mtc():
+    with_intakes = timeline([intake(0, 8)], start=ts(0, 0), end=ts(1, 0))
+    without_intakes = timeline([activity("eating", 0, 12)], start=ts(0, 0), end=ts(1, 0))
+    for line in (with_intakes, without_intakes):
+        for value in ("3 times day", None, 5):
+            with pytest.raises(TypeError, match="^not an MTC value: "):
+                check(value, line)
+
+
+def test_every_constraint_type_reaches_its_own_check():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(300):
+        mtc, line = random_mtc(rng), random_timeline(rng)
+        verdict = check(mtc, line)
+        assert (verdict.status.value, verdict.explanation) == oracle_check(mtc, line, DEFAULT_TOLERANCES)
+        seen.add(mtc_type(mtc))
+    assert seen == set(range(1, 8))
 
 
 def test_definitive_dependency_before():
@@ -390,6 +412,143 @@ def test_explanations_are_nonempty():
     for _ in range(100):
         verdict = check(random_mtc(rng), random_timeline(rng))
         assert verdict.explanation.strip()
+
+
+# --------------------------------------------------------- configuration
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"dependency_tolerance": 5}, TypeError, "^dependency_tolerance must be a timedelta, got 5$"),
+        ({"imprecision_horizon": 120.0}, TypeError, "^imprecision_horizon must be a timedelta"),
+        ({"consistency_tolerance": None}, TypeError, "^consistency_tolerance must be a timedelta"),
+        ({"dependency_tolerance": timedelta(minutes=-5)}, ValueError, "^dependency_tolerance must not be negative"),
+        ({"imprecision_horizon": timedelta(microseconds=-1)}, ValueError, "^imprecision_horizon must not be negative"),
+        ({"consistency_tolerance": timedelta(days=-1)}, ValueError, "^consistency_tolerance must not be negative"),
+        ({"day_part_windows": {"morning": 5}}, TypeError, "^day_part_windows must map DayPart"),
+        ({"day_part_windows": {"morning": (dt_time(5), dt_time(12))}}, TypeError, "^day_part_windows must"),
+        ({"day_part_windows": {DayPart.MORNING: 5}}, TypeError, "^day_part_windows must"),
+        ({"day_part_windows": {DayPart.MORNING: (dt_time(5),)}}, TypeError, "^day_part_windows must"),
+        ({"day_part_windows": {DayPart.MORNING: (dt_time(5), "12:00")}}, TypeError, "^day_part_windows must"),
+        ({"day_part_windows": {DayPart.MORNING: (dt_time(5, tzinfo=UTC), dt_time(12))}}, TypeError,
+         "^day_part_windows must"),
+        ({"day_part_windows": [(DayPart.MORNING, (dt_time(5), dt_time(12)))]}, TypeError, "^day_part_windows must"),
+    ],
+)
+def test_tolerance_config_checks_its_fields(fields, error, message):
+    with pytest.raises(error, match=message):
+        ToleranceConfig(**fields)
+
+
+# ------------------------------------------------------ zones with rules
+
+try:
+    BERLIN = zoneinfo.ZoneInfo("Europe/Berlin")
+except zoneinfo.ZoneInfoNotFoundError:
+    BERLIN = None
+needs_berlin = pytest.mark.skipif(BERLIN is None, reason="the tz database lacks Europe/Berlin")
+#: Clocks in Berlin jump from 02:00 to 03:00 at the first, and fall back from
+#: 03:00 to 02:00 at the second.
+DST_CHANGES = (datetime(2026, 3, 29, 1, tzinfo=UTC), datetime(2026, 10, 25, 1, tzinfo=UTC))
+
+
+def berlin(month: int, day: int, hour: int, minute: int = 0, fold: int = 0) -> datetime:
+    return datetime(2026, month, day, hour, minute, tzinfo=BERLIN, fold=fold)
+
+
+@needs_berlin
+def test_gap_across_spring_forward_is_elapsed_time():
+    line = Timeline.build([TimelineEvent("intake", "m", at) for at in (berlin(3, 28, 22), berlin(3, 29, 4))])
+    verdict = check(parse_mtc("6 hour apart"), line)
+    assert verdict.status is VerdictStatus.VIOLATED
+    assert verdict.explanation == (
+        "gap of 5:00:00 between intake 'm' at 2026-03-28T22:00:00+01:00 "
+        "and intake 'm' at 2026-03-29T04:00:00+02:00 is under 6:00:00"
+    )
+    assert check(parse_mtc("before 5 am"), line).status is VerdictStatus.VIOLATED  # 22:00 local
+    assert check(parse_mtc("5 hour apart"), line).status is VerdictStatus.SATISFIED
+
+
+@needs_berlin
+def test_dependency_offset_across_spring_forward_is_elapsed_time():
+    meal = TimelineEvent("activity", "eating", berlin(3, 29, 3))  # 30 minutes after the intake
+    line = Timeline.build([TimelineEvent("intake", "m", berlin(3, 29, 1, 30)), meal])
+    verdict = check(parse_mtc("90 minute before eating"), line)
+    assert verdict.status is VerdictStatus.VIOLATED
+    assert verdict.explanation == (
+        "intake 'm' at 2026-03-29T01:30:00+01:00 has no 'eating' event near "
+        "2026-03-29T03:00:00+01:00 (tolerance 0:10:00)"
+    )
+    assert check(parse_mtc("30 minute before eating"), line).status is VerdictStatus.SATISFIED
+
+
+@needs_berlin
+def test_gap_in_the_repeated_fall_back_hour_is_elapsed_time():
+    first, second = berlin(10, 25, 2, 45), berlin(10, 25, 2, 15, fold=1)  # 00:45 and 01:15 UTC
+    line = Timeline((TimelineEvent("intake", "m", second), TimelineEvent("intake", "m", first)))
+    assert check(parse_mtc("20 minute apart"), line).status is VerdictStatus.SATISFIED
+    verdict = check(parse_mtc("40 minute apart"), line)
+    assert verdict.explanation == (
+        "gap of 0:30:00 between intake 'm' at 2026-10-25T02:45:00+02:00 "
+        "and intake 'm' at 2026-10-25T02:15:00+01:00 is under 0:40:00"
+    )
+
+
+@needs_berlin
+def test_timestamps_and_window_bounds_keep_their_wall_clock_at_a_fixed_offset():
+    event = TimelineEvent("intake", "m", berlin(3, 29, 4))
+    assert type(event.timestamp.tzinfo) is timezone and event.timestamp.isoformat() == "2026-03-29T04:00:00+02:00"
+    line = Timeline((event,), (berlin(3, 28, 22), None))
+    assert [bound.isoformat() for bound in line.window] == ["2026-03-28T22:00:00+01:00", "2026-03-29T04:00:00+02:00"]
+    assert all(type(bound.tzinfo) is timezone for bound in line.window)
+
+
+_dst_mtcs = st.one_of(
+    st.builds(lambda nu, dp, a: grammar.DefinitiveDependency(*nu, dp, a), _offsets, _dps, _activities),
+    st.builds(grammar.Frequency, st.integers(1, 3), st.just(grammar.TimeUnit.HOUR)),
+    st.builds(grammar.Interval, st.integers(1, 6), st.just(grammar.TimeUnit.HOUR),
+              st.sampled_from((grammar.IntervalPrep.APART, grammar.IntervalPrep.WITHIN))),
+    st.builds(grammar.ImpreciseDependency, _dps, _activities),
+)
+
+
+@st.composite
+def _dst_cases(draw):
+    """A type 1-4 constraint, its tolerances, and the UTC instants of events
+    within six hours of a daylight-saving change and of a window about them.
+
+    Most intakes get a second event on an edge of the constraint, moved by the
+    hour the clocks jump and a minute either way."""
+    mtc, cfg = draw(_dst_mtcs), draw(_configs)
+    change = draw(st.sampled_from(DST_CHANGES))
+    minutes = st.integers(-36, 36).map(lambda m: 10 * m)
+    if isinstance(mtc, grammar.Interval):
+        kind, names, edges = "intake", ("medication",), [mtc.n * 60]
+    else:
+        kind, names, edges = "activity", ALIASES[getattr(mtc, "activity", "eating")], _edges(mtc, cfg)
+    placed = []
+    for minute in draw(st.lists(minutes, min_size=1, max_size=6)):
+        placed.append(("intake", "medication", minute))
+        if draw(st.integers(0, 3)):
+            shift = draw(st.sampled_from(edges)) + draw(st.sampled_from((-60, 0, 60))) + draw(st.sampled_from((-1, 0, 1)))
+            placed.append((kind, draw(st.sampled_from(names)), minute + shift))
+    window = (10 * draw(st.integers(-42, -30)), 10 * draw(st.integers(30, 42)))
+    events = [(kind, name, change + timedelta(minutes=minute)) for kind, name, minute in placed]
+    return mtc, cfg, events, tuple(change + timedelta(minutes=minute) for minute in window)
+
+
+@needs_berlin
+@settings(max_examples=300, deadline=None)
+@given(_dst_cases())
+def test_events_in_a_zone_with_rules_check_as_their_instants_in_utc(case):
+    mtc, cfg, events, window = case
+    in_utc = Timeline.build([TimelineEvent(*event) for event in events], window)
+    zoned = Timeline.build(
+        [TimelineEvent(kind, name, at.astimezone(BERLIN)) for kind, name, at in events],
+        tuple(bound.astimezone(BERLIN) for bound in window),
+    )
+    assert check(mtc, zoned, cfg).status is check(mtc, in_utc, cfg).status
 
 
 # ------------------------------------------------------------ timeline io

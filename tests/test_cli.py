@@ -124,6 +124,12 @@ def test_fewshot_select_deterministic(corpus_path, capsys):
     assert len(out1.splitlines()) == 8
 
 
+def test_fewshot_select_refuses_k_below_one(corpus_path, capsys):
+    code, out, err = run(capsys, ["fewshot-select", "--file", str(corpus_path), "--k", "-1"])
+    assert code == 1 and out == ""
+    assert err == "error: k must be at least 1, got -1\n"
+
+
 def _prepare_replay_run(tmp_path, pool):
     """Corpus, few-shot file, and stocked fixtures for a simple-strategy run."""
     corpus = tmp_path / "corpus.jsonl"

@@ -83,6 +83,12 @@ def test_selection_k_too_large(pool):
         select_fewshot(pool, k=len(pool) + 1, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_selection_refuses_k_below_one(pool, k):
+    with pytest.raises(InsufficientPoolError, match=f"^k must be at least 1, got {k}$"):
+        select_fewshot(pool, k=k, seed=0)
+
+
 def test_selection_k_too_small_for_coverage(pool):
     with pytest.raises(InsufficientPoolError):
         select_fewshot(pool, k=2, seed=0)
