@@ -3,11 +3,12 @@
 Selection greedily covers the strata that matter (every constraint type,
 empty and non-empty answers, single and multiple constraints, easy and
 hard normalization), then fills the remaining slots with a seeded draw.
-The replay client serves canned responses keyed by a hash of the prompt,
-so the whole loop runs offline and byte-reproducibly.
+The replay client serves canned responses from one fixtures file, keyed by
+a hash of the prompt, so the whole loop runs offline and byte-reproducibly.
 """
 
 import tempfile
+from pathlib import Path
 
 from mtckit.dataset import Dug
 from mtckit.grammar import parse_mtc, serialize
@@ -65,7 +66,7 @@ spec = build_prompt(default_template("specialized"), fewshot, query, mtc_type=2)
 print("\n".join(spec.splitlines()[:5]))
 
 with tempfile.TemporaryDirectory() as tmp:
-    client = ReplayClient(tmp)
+    client = ReplayClient(Path(tmp) / "fixtures.jsonl")
     template = default_template("simple")
     for d in eval_split:
         client.store(build_prompt(template, fewshot, d), gold_answer(d))

@@ -66,3 +66,69 @@ from .rulebase import TypePrediction, TypeRule, classify_types, evaluate_type_cl
 from .tables import FileFormatError
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "adherence",
+    "dataset",
+    "evaluation",
+    "grammar",
+    "icl",
+    "normalize",
+    "rulebase",
+    "tables",
+    "AbbreviationRule",
+    "ClockTime",
+    "Consistency",
+    "CorpusStats",
+    "DEFAULT_ABBREVIATION_RULES",
+    "DayPart",
+    "DefinitiveDependency",
+    "DependencyPrep",
+    "Dug",
+    "EvalReport",
+    "FileFormatError",
+    "Frequency",
+    "ImpreciseDependency",
+    "Interval",
+    "IntervalPrep",
+    "LabelMetrics",
+    "MismatchedIdsError",
+    "Mtc",
+    "MtcListResult",
+    "NonvalidMtcError",
+    "NormalizationResult",
+    "OccurrencePrep",
+    "SameTime",
+    "Scores",
+    "TimeDependency",
+    "TimeOfDay",
+    "TimeUnit",
+    "Timeline",
+    "TimelineEvent",
+    "ToleranceConfig",
+    "TypePrediction",
+    "TypeRule",
+    "UNDEFINED_LABEL",
+    "Verdict",
+    "VerdictStatus",
+    "build_label_space",
+    "check",
+    "classify_types",
+    "dataset_stats",
+    "dump_dugs",
+    "evaluate",
+    "evaluate_type_classifier",
+    "extract_ehr_statements",
+    "is_valid",
+    "krippendorff_alpha",
+    "load_dugs",
+    "load_predictions",
+    "map_to_label",
+    "mtc_type",
+    "normalize_activity",
+    "normalize_raw_output",
+    "parse_mtc",
+    "parse_mtc_list",
+    "serialize",
+    "with_negated",
+]

@@ -16,7 +16,11 @@ Gaps, offsets, horizons and frequency periods (types 1-4) are elapsed
 time. Every timestamp and window bound is kept at the fixed UTC offset it
 has, with its wall clock unchanged, because datetime arithmetic inside one
 zone with rules (a ``zoneinfo.ZoneInfo``) counts wall-clock time: 22:00 to
-04:00 across a spring-forward night is five hours, not six. The clock rules
+04:00 across a spring-forward night is five hours, not six. So a ``day``
+(``week``) frequency period is 24 (168) elapsed hours counted from the
+window start, not a calendar day: after a clock change inside the window,
+periods no longer begin at local midnight, and an intake just after
+midnight may count in the period before. The clock rules
 (types 5-7) use each event's own local wall clock, so a
 traveling patient's 9 am intake stays a 9 am intake. A consistency
 constraint with a clock anchor (``at 9 am each day``) requires every

@@ -238,7 +238,7 @@ def cmd_fewshot_select(args) -> int:
 def _build_client(args, config: dict):
     if args.client == "replay":
         if not args.fixtures:
-            raise ValueError("--client replay requires --fixtures DIR")
+            raise ValueError("--client replay requires --fixtures FILE")
         return ReplayClient(args.fixtures)
     http = _settings(args, config, "http")
     if not http.get("base_url"):
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--types", type=_type_list, default=(), help="comma-separated types, specialized only "
                    f"(default {','.join(map(str, SPECIALIZED_DEFAULT_TYPES))})")
     p.add_argument("--client", choices=("http", "replay"), default="replay")
-    p.add_argument("--fixtures", help="replay fixtures directory")
+    p.add_argument("--fixtures", help="replay fixtures file (JSON lines of fingerprint and text)")
     p.add_argument("--base-url", help="completion service URL (http client)")
     p.add_argument("--model", help="model name sent to the service")
     p.add_argument("--use-messages", action="store_true", default=None, help="send messages, not a prompt")

@@ -25,8 +25,10 @@ recall 0; a guideline where both gold and prediction are empty scores 1.0
 on example metrics; an average over an empty collection is 1.0 (there was
 nothing to get wrong).
 
-Scoring walks the guidelines once and tests label-space membership in a
-set, so its cost grows with guidelines plus labels, not their product.
+Scoring walks the guidelines once, counting labels and example scores as
+it goes (:class:`LabelTally`), and tests label-space membership in a set,
+so its cost grows with guidelines plus labels, not their product, and it
+keeps no per-guideline label sets.
 Prediction files are read by :func:`load_predictions`, naming each bad line.
 """
 
@@ -121,7 +123,7 @@ class EvalReport:
     def to_dict(self) -> dict:
         """Flat machine-readable view; key names are stable.
 
-        Labels that hold one shared metrics value (see :func:`score_labels`)
+        Labels that hold one shared metrics value (see :meth:`LabelTally.per_label`)
         share one ``per_label`` entry; copy an entry before changing it.
         """
         rows: dict[int, dict] = {}
@@ -204,28 +206,57 @@ def align_ids(gold: Sequence[Dug], pairs: Iterable[tuple[str, object]]) -> dict:
     return by_id
 
 
-def score_labels(labels: Iterable, gold_sets: Sequence[Set], pred_sets: Sequence[Set]) -> dict:
-    """``{label: LabelMetrics}`` over guidelines' aligned gold and predicted label sets.
+class LabelTally:
+    """Support, predicted and true-positive counts per label, fed one guideline at a time.
 
-    One pass over the sets counts support, predicted and true positives for
-    every label, so the cost grows with guidelines plus labels, not their
-    product. Labels with the same three counts share one (frozen) metrics
-    value.
+    The counting core of :func:`evaluate` and
+    :func:`~mtckit.rulebase.evaluate_type_classifier`: neither keeps its
+    guidelines' label sets, so memory grows with the labels, not the corpus.
     """
-    support = Counter(label for g in gold_sets for label in g)
-    predicted = Counter(label for p in pred_sets for label in p)
-    tp = Counter(label for g, p in zip(gold_sets, pred_sets) for label in g & p)
-    shared: dict[tuple[int, int, int], LabelMetrics] = {}
-    per_label = {}
-    for label in labels:
-        counts = (tp[label], support[label], predicted[label])
-        metrics = shared.get(counts)
-        if metrics is None:
-            hits, gold_n, pred_n = counts
-            prf = _prf(hits, pred_n - hits, gold_n - hits)
-            metrics = shared[counts] = LabelMetrics(*prf, gold_n, pred_n)
-        per_label[label] = metrics
-    return per_label
+
+    def __init__(self) -> None:
+        self.support: Counter = Counter()
+        self.predicted: Counter = Counter()
+        self.tp: Counter = Counter()
+        self._rows: dict[tuple[int, int, int], Scores] = {}
+
+    def add(self, gold: Set, pred: Set) -> Scores:
+        """Count one guideline's gold and predicted label sets; returns its example
+        scores, which score it as one label would and are 1.0 when both are empty.
+        Guidelines with the same counts share one scores value."""
+        hits = gold & pred
+        # Label by label: a guideline holds a few labels, and Counter.update
+        # costs more per call than these loops.
+        for label in gold:
+            self.support[label] += 1
+        for label in pred:
+            self.predicted[label] += 1
+        for label in hits:
+            self.tp[label] += 1
+        if not (gold or pred):
+            return _VACUOUS
+        counts = (len(hits), len(pred) - len(hits), len(gold) - len(hits))
+        row = self._rows.get(counts)
+        if row is None:
+            row = self._rows[counts] = _prf(*counts)
+        return row
+
+    def per_label(self, labels: Iterable) -> dict:
+        """``{label: LabelMetrics}`` over the guidelines added so far.
+
+        Labels with the same three counts share one (frozen) metrics value.
+        """
+        shared: dict[tuple[int, int, int], LabelMetrics] = {}
+        per_label = {}
+        for label in labels:
+            counts = (self.tp[label], self.support[label], self.predicted[label])
+            metrics = shared.get(counts)
+            if metrics is None:
+                hits, gold_n, pred_n = counts
+                prf = _prf(hits, pred_n - hits, gold_n - hits)
+                metrics = shared[counts] = LabelMetrics(*prf, gold_n, pred_n)
+            per_label[label] = metrics
+        return per_label
 
 
 def macro_average(metrics: Iterable[LabelMetrics]) -> Scores:
@@ -293,8 +324,9 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
     gold_space = frozenset(space) - {UNDEFINED_LABEL}
     distinct = dict.fromkeys(text for pair in by_id.values() for texts in pair for text in texts)
     canonical = {text: _canonical(text) for text in distinct}  # one parse for validity and label
-    gold_sets: list[set[str]] = []
-    pred_sets: list[set[str]] = []
+    tally = LabelTally()
+    example_rows: list[Scores] = []
+    positive_rows: list[Scores] = []
     n_candidates = 0
     n_valid = 0
     undefined_predictions = 0
@@ -307,24 +339,18 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         gold_set = set(dug.label_strings)
         if not gold_set <= gold_space:
             raise ValueError(f"gold labels of {dug.id!r} missing from label space")
-        gold_sets.append(gold_set)
-        pred_sets.append(set(mapped))
+        row = tally.add(gold_set, set(mapped))
+        example_rows.append(row)
+        if gold_set:
+            positive_rows.append(row)
 
-    per_label = score_labels(space, gold_sets, pred_sets)
+    per_label = tally.per_label(space)
     macro_labels = tuple(
         label
         for label in space
         if per_label[label].support > 0
         or (label == UNDEFINED_LABEL and per_label[label].predicted > 0)
     )
-
-    def example_scores(pairs: Sequence[tuple[set, set]]) -> Scores:
-        # A guideline scores as one label would, and 1.0 when gold and prediction are empty.
-        return _means([_prf(len(g & p), len(p - g), len(g - p)) if g or p else _VACUOUS for g, p in pairs])
-
-    pairs = list(zip(gold_sets, pred_sets))
-    positive_pairs = [(g, p) for g, p in pairs if g]
-
     return EvalReport(
         n_dugs=len(gold),
         n_candidates=n_candidates,
@@ -333,9 +359,11 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         per_label=per_label,
         macro_labels=macro_labels,
         macro=macro_average([per_label[l] for l in macro_labels]),
-        example=example_scores(pairs),
-        positive=example_scores(positive_pairs),
-        positive_n_dugs=len(positive_pairs),
+        # Means over the guidelines in order: from Python 3.12 ``sum`` compensates
+        # rounding, so a running total would change the reported bits.
+        example=_means(example_rows),
+        positive=_means(positive_rows),
+        positive_n_dugs=len(positive_rows),
     )
 
 

@@ -8,18 +8,26 @@ mode) or ``choices[0].message.content`` (messages mode), falling back to a
 top-level ``text`` key. The API key comes from the ``MTC_API_KEY``
 environment variable unless given explicitly.
 
-The replay client serves canned responses from a fixtures directory keyed
-by a stable hash of the prompt bytes, which makes whole extraction runs
-reproducible byte-for-byte and testable offline.
+The replay client serves canned responses from one UTF-8 JSON-lines
+fixtures file of ``{"fingerprint": <sha256 hex of the prompt bytes>,
+"text": <response>}`` records, which makes whole extraction runs
+reproducible byte-for-byte and testable offline. The file is read once,
+when the client is built, into one table; a bad line fails that load as a
+:class:`~mtckit.tables.FileFormatError` naming ``path:line``, and a later
+line for the same fingerprint wins. ``store`` appends one line.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
+
+from ..tables import read_lines
 
 if TYPE_CHECKING:
     import requests
@@ -53,7 +61,7 @@ class CompletionClient(Protocol):
 
 
 def prompt_fingerprint(prompt: str) -> str:
-    """Stable hex key of a prompt's UTF-8 bytes (replay fixture filename)."""
+    """Stable hex key of a prompt's UTF-8 bytes (the replay fixture key)."""
     # Imported here: its OpenSSL pages cost megabytes of resident memory in
     # every process that imports the package, and only replay fixtures are
     # keyed by this hash.
@@ -62,64 +70,74 @@ def prompt_fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _universal_newlines(text: str) -> str:
+    """``text`` with ``\\r\\n`` and a lone ``\\r`` turned into ``\\n``, as text-mode reading does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+_FINGERPRINT = re.compile("[0-9a-f]{64}")
+
+
+def _fixture_row(line: str) -> tuple[str, str]:
+    record = json.loads(line)
+    if not (
+        isinstance(record, dict)
+        and record.keys() == {"fingerprint", "text"}
+        and isinstance(record["fingerprint"], str)
+        and _FINGERPRINT.fullmatch(record["fingerprint"])
+        and isinstance(record["text"], str)
+    ):
+        raise ValueError('expected {"fingerprint": <sha256 hex>, "text": <string>}')
+    return record["fingerprint"], _universal_newlines(record["text"])
+
+
 class ReplayClient:
-    """Serves responses from ``<fixtures_dir>/<prompt_fingerprint>.txt``."""
+    """Serves responses from a JSON-lines fixtures file, read once when built.
 
-    def __init__(self, fixtures_dir: str | Path):
-        self.fixtures_dir = Path(fixtures_dir)
-        self._prefix = os.path.join(self.fixtures_dir, "")
+    A missing file is an empty table. A file that cannot be read raises
+    ``OSError``, and a bad line :class:`~mtckit.tables.FileFormatError`.
+    """
 
-    def _path(self, prompt: str) -> Path:
-        return self.fixtures_dir / f"{prompt_fingerprint(prompt)}.txt"
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        try:
+            rows = read_lines(self.path, _fixture_row)
+        except FileNotFoundError:
+            rows = []
+        self._texts: dict[str, str] = dict(rows)
 
     def store(self, prompt: str, response_text: str) -> Path:
-        """Write a fixture for ``prompt``; returns the fixture path."""
-        self.fixtures_dir.mkdir(parents=True, exist_ok=True)
-        path = self._path(prompt)
-        path.write_text(response_text, encoding="utf-8")
-        return path
+        """Append a fixture for ``prompt`` to the file; returns the file path.
+
+        A ``response_text`` that is not a ``str`` raises ``TypeError`` and
+        writes nothing.
+        """
+        if not isinstance(response_text, str):
+            raise TypeError(f"response_text must be a string, got {type(response_text).__name__}")
+        fingerprint = prompt_fingerprint(prompt)
+        # The bytes json.dumps gives for the record, without its slower dict path.
+        line = f'{{"fingerprint": "{fingerprint}", "text": {json.dumps(response_text)}}}\n'
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags, 0o666)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o666)
+        try:
+            # One write per line: an appended line is never interleaved.
+            os.write(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
+        self._texts[fingerprint] = _universal_newlines(response_text)
+        return self.path
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        """The fixture's text, as ``Path.read_text(encoding="utf-8")`` returns it.
-
-        A fixture that is missing, unreadable or not UTF-8 raises
-        :class:`ServiceError`.
-        """
-        name = f"{prompt_fingerprint(request.prompt)}.txt"
-        try:
-            data = _read_file(self._prefix + name)
-        except FileNotFoundError:
-            raise ServiceError(f"no replay fixture {name} in {self.fixtures_dir}") from None
-        except OSError as exc:
-            raise ServiceError(f"cannot read replay fixture {name} in {self.fixtures_dir}: {exc}") from None
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ServiceError(f"replay fixture {name} in {self.fixtures_dir} is not UTF-8: {exc}") from None
-        if "\r" in text:
-            # Universal newlines, as text-mode reading applies them.
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        """The stored text for the prompt; a missing fingerprint raises :class:`ServiceError`."""
+        fingerprint = prompt_fingerprint(request.prompt)
+        text = self._texts.get(fingerprint)
+        if text is None:
+            raise ServiceError(f"no replay fixture {fingerprint} in {self.path}")
         return CompletionResponse(text)
-
-
-#: Bytes asked for per read; a fixture is one short answer.
-_READ_SIZE = 4096
-
-
-def _read_file(path: str) -> bytes:
-    """Whole contents of a regular file, read without a buffered file object.
-
-    A short read from a regular file marks its end, so a fixture smaller
-    than ``_READ_SIZE`` costs one ``open``, one ``read`` and one ``close``.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = [os.read(fd, _READ_SIZE)]
-        while len(chunks[-1]) == _READ_SIZE:
-            chunks.append(os.read(fd, _READ_SIZE))
-        return b"".join(chunks)
-    finally:
-        os.close(fd)
 
 
 class HttpCompletionClient:

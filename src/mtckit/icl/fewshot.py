@@ -137,8 +137,11 @@ def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSe
     type present in the pool is represented; empty-answer, multi-constraint
     and difficult pairs are included whenever the pool has them. Strata the
     pool itself lacks are recorded as gaps, not errors. Deterministic for a
-    given pool, ``k`` and ``seed``.
+    given pool, ``k`` and ``seed``. A ``k`` that is not an ``int`` (a ``bool``
+    included) raises ``TypeError``.
     """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an integer, got {type(k).__name__}")
     if k < 1:
         raise InsufficientPoolError(f"k must be at least 1, got {k}")
     if k > len(pool):

@@ -206,8 +206,15 @@ def build_prompt(
     """Render header, few-shot examples, and the query for one guideline.
 
     ``mtc_type`` is required for specialized templates (it selects the type
-    description and filters example answers) and forbidden otherwise.
+    description and filters example answers) and forbidden otherwise. A
+    ``template``, ``fewshot`` or ``dug`` of another type raises ``TypeError``.
     """
+    if not isinstance(template, PromptTemplate):
+        raise TypeError(f"template must be a PromptTemplate, got {type(template).__name__}")
+    if not isinstance(fewshot, FewShotSet):
+        raise TypeError(f"fewshot must be a FewShotSet, got {type(fewshot).__name__}")
+    if not isinstance(dug, Dug):
+        raise TypeError(f"dug must be a Dug, got {type(dug).__name__}")
     if template.strategy_kind == "specialized":
         if mtc_type is None:
             raise StrategyMismatchError("specialized template needs an mtc_type")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import Dug
-from .evaluation import LabelMetrics, Scores, align_ids, macro_average, score_labels
+from .evaluation import LabelMetrics, LabelTally, Scores, align_ids, macro_average
 from .grammar import NUMBER_WORDS, mtc_type
 from .tables import DATA, read_table
 
@@ -126,7 +126,8 @@ def evaluate_type_classifier(
     with nothing of either, the vacuous macro is 1.0.
     """
     pred_by_id = align_ids(gold, ((pred.dug_id, pred.types) for pred in preds))
-    gold_sets = [{mtc_type(m) for m in dug.labels} for dug in gold]
-    pred_sets = [pred_by_id[dug.id] for dug in gold]
-    per_type = score_labels(sorted(set().union(*gold_sets, *pred_sets)), gold_sets, pred_sets)
+    tally = LabelTally()
+    for dug in gold:
+        tally.add({mtc_type(m) for m in dug.labels}, pred_by_id[dug.id])
+    per_type = tally.per_label(sorted(tally.support.keys() | tally.predicted.keys()))
     return TypeClassifierReport(per_type, macro_average(per_type.values()))

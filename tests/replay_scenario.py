@@ -73,7 +73,7 @@ def canned_response(i: int, t: int, dug: Dug) -> str:
 def prepare(base: Path):
     """Write corpus, few-shot file, and stocked fixtures under ``base``.
 
-    Returns (corpus_path, fewshot_path, fixtures_dir, gold dugs).
+    Returns (corpus_path, fewshot_path, fixtures_path, gold dugs).
     """
     gold = build_corpus()
     corpus_path = base / "corpus.jsonl"
@@ -84,11 +84,11 @@ def prepare(base: Path):
     dump_dugs(fewshot_dugs, fewshot_path)
     fewshot = fewshot_from_dugs(fewshot_dugs)
 
-    fixtures_dir = base / "fixtures"
-    client = ReplayClient(fixtures_dir)
+    fixtures_path = base / "fixtures.jsonl"
+    client = ReplayClient(fixtures_path)
     template = default_template("specialized")
     for i, dug in enumerate(gold):
         for t in (1, 2, 3, 4, 6, 7):
             prompt = build_prompt(template, fewshot, dug, mtc_type=t)
             client.store(prompt, canned_response(i, t, dug))
-    return corpus_path, fewshot_path, fixtures_dir, gold
+    return corpus_path, fewshot_path, fixtures_path, gold

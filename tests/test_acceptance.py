@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -191,7 +192,14 @@ REPLAY_EXPECTED = {
 }
 
 
-@criterion(7, "replay extraction + eval: byte-identical across 3 runs, report matches oracle")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# The bytes of the replay scenario's records and report. From Python 3.12
+# ``sum`` compensates rounding, which moves one macro mean by one unit in the
+# last place, so those versions write the ``_py312`` report.
+CRITERION7_REPORT = "criterion7_report_py312.json" if sys.version_info >= (3, 12) else "criterion7_report.json"
+
+
+@criterion(7, "replay extraction + eval: byte-identical across 3 runs and to the golden files, report matches oracle")
 def test_criterion_07_replay_determinism(tmp_path):
     corpus, fewshot, fixtures, gold = prepare(tmp_path)
     pred_files = []
@@ -211,6 +219,8 @@ def test_criterion_07_replay_determinism(tmp_path):
         report_files.append(report.read_bytes())
     assert pred_files[0] == pred_files[1] == pred_files[2]
     assert report_files[0] == report_files[1] == report_files[2]
+    assert pred_files[0] == (GOLDEN / "criterion7_predictions.jsonl").read_bytes()
+    assert report_files[0] == (GOLDEN / CRITERION7_REPORT).read_bytes()
 
     report = json.loads(report_files[0])
     records = [json.loads(line) for line in pred_files[0].decode().splitlines()]
@@ -281,7 +291,7 @@ def test_criterion_08_fewshot(tmp_path):
         assert len(eval_split) + len(fewshot) == len(pool)
         member = next(d for d in pool if d.id in fewshot.ids)
         with pytest.raises(FewShotLeakageError):
-            extract(member, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path))
+            extract(member, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path / "fixtures.jsonl"))
 
 
 @criterion(9, "adherence: worked examples plus negation inversion on 1,000 pairs")

@@ -496,6 +496,17 @@ def test_gap_in_the_repeated_fall_back_hour_is_elapsed_time():
 
 
 @needs_berlin
+def test_day_periods_are_elapsed_hours_from_the_window_start_across_spring_forward():
+    intakes = [TimelineEvent("intake", "m", berlin(3, day, hour, 30)) for day in (28, 29, 30) for hour in (0, 12)]
+    line = Timeline(tuple(intakes), (berlin(3, 28, 0), berlin(3, 31, 0)))
+    verdict = check(parse_mtc("2 times day"), line)
+    # The second period is 24 h from 00:00 on 29 March, so it ends at 01:00 local on
+    # 30 March and holds that day's 00:30 intake; a calendar day would hold two.
+    assert verdict.status is VerdictStatus.VIOLATED
+    assert verdict.explanation == "period starting 2026-03-29T00:00:00+01:00 has 3 intake(s), expected 2"
+
+
+@needs_berlin
 def test_timestamps_and_window_bounds_keep_their_wall_clock_at_a_fixed_offset():
     event = TimelineEvent("intake", "m", berlin(3, 29, 4))
     assert type(event.timestamp.tzinfo) is timezone and event.timestamp.isoformat() == "2026-03-29T04:00:00+02:00"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from types import SimpleNamespace
@@ -138,7 +139,7 @@ def _prepare_replay_run(tmp_path, pool):
     fewshot_file = tmp_path / "fewshot.jsonl"
     dataset.dump_dugs(fewshot_dugs, fewshot_file)
     fewshot = fewshot_from_dugs(fewshot_dugs)
-    fixtures = tmp_path / "fixtures"
+    fixtures = tmp_path / "fixtures.jsonl"
     client = ReplayClient(fixtures)
     template = default_template("simple")
     for dug in pool[4:]:
@@ -727,30 +728,91 @@ def test_any_rule_table_exits_zero_or_one_without_traceback(input_files, table):
 
 @pytest.fixture(scope="module")
 def replay_fixture(tmp_path_factory):
-    """A one-guideline simple-strategy extract run and the path of its only fixture."""
+    """A one-guideline simple-strategy extract run, its fixtures file and its prompt."""
     base = tmp_path_factory.mktemp("replay_fixture")
     dug, examples = make_dug("a", "Take it twice daily.", ["2 times day"]), stratified_pool()[:4]
     dataset.dump_dugs([dug], base / "corpus.jsonl")
     dataset.dump_dugs(examples, base / "fewshot.jsonl")
     prompt = build_prompt(default_template("simple"), fewshot_from_dugs(examples), dug)
+    fixtures = base / "fixtures.jsonl"
     argv = ["extract", "--file", str(base / "corpus.jsonl"), "--fewshot", str(base / "fewshot.jsonl"),
-            "--strategy", "simple", "--client", "replay", "--fixtures", str(base)]
-    return argv, base / f"{prompt_fingerprint(prompt)}.txt"
+            "--strategy", "simple", "--client", "replay", "--fixtures", str(fixtures)]
+    return argv, fixtures, prompt
 
 
-@settings(max_examples=150, deadline=None)
-@given(content=st.binary(max_size=80) | st.text(max_size=40).map(lambda text: text.encode("utf-8")))
-def test_any_replay_fixture_gives_its_text_or_a_failed_record(replay_fixture, content):
-    argv, fixture = replay_fixture
-    fixture.write_bytes(content)
+def _replay_run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text(max_size=40))
+def test_any_replay_fixture_gives_its_text_or_a_failed_record(replay_fixture, text):
+    argv, fixtures, prompt = replay_fixture
+    fixtures.unlink(missing_ok=True)
+    ReplayClient(fixtures).store(prompt, text)
+    code, out, _ = _replay_run(argv)
     assert code == 0
-    (record,) = [json.loads(line) for line in out.getvalue().splitlines()]
-    try:
-        text = fixture.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        assert record["error"] and record["raw_outputs"] == [] and record["predictions"] == []
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    # Verbatim but for universal newlines, as text-mode reading gives it.
+    expected = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert record["error"] is None and [call["text"] for call in record["raw_outputs"]] == [expected]
+
+
+def _fixture_rows(content: bytes) -> list[dict] | None:
+    """The records of a fixtures file, or None when a line is not UTF-8 or not a record."""
+    rows = []
+    for raw in content.split(b"\n"):
+        try:
+            line = raw.removesuffix(b"\r").decode("utf-8")
+            if not line.strip():
+                continue
+            row = json.loads(line)
+        except ValueError:
+            return None
+        if not (isinstance(row, dict) and set(row) == {"fingerprint", "text"} and isinstance(row["text"], str)
+                and isinstance(row["fingerprint"], str) and re.fullmatch("[0-9a-f]{64}", row["fingerprint"])):
+            return None
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_replay_fixtures_file_gives_a_record_or_names_its_bad_line(replay_fixture, data):
+    argv, fixtures, prompt = replay_fixture
+    fingerprint = prompt_fingerprint(prompt)
+    records = st.sampled_from([{"fingerprint": fingerprint, "text": "in morning"},
+                               {"fingerprint": "0" * 64, "text": "x"}])
+    lines = st.lists(records | _JSON, min_size=1, max_size=3)
+    content = data.draw(st.binary(max_size=80) | lines.map(lambda rows: "\n".join(map(json.dumps, rows)).encode()))
+    fixtures.write_bytes(content)
+    code, out, err = _replay_run(argv)
+    rows = _fixture_rows(content)
+    if rows is None:
+        assert code == 1 and out == "" and err.startswith(f"error: {fixtures}:")
+        return
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    texts = [row["text"] for row in rows if row["fingerprint"] == fingerprint]
+    if texts:
+        assert record["error"] is None and [call["text"] for call in record["raw_outputs"]] == texts[-1:]
     else:
-        assert record["error"] is None and [call["text"] for call in record["raw_outputs"]] == [text]
+        assert record["error"] == f"no replay fixture {fingerprint} in {fixtures}"
+        assert record["raw_outputs"] == [] and record["predictions"] == []
+
+
+@pytest.mark.parametrize("kind", ["directory", "parent is a file"])
+def test_extract_unreadable_fixtures_path_exits_one_naming_it(tmp_path, replay_fixture, kind):
+    argv, _, _ = replay_fixture
+    path = tmp_path / "fixtures.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("")
+        path = path / "fixtures.jsonl"
+    code, out, err = _replay_run([*argv[:-1], str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(path) in err

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mtckit import Dug, grammar
 from mtckit.evaluation import (
     UNDEFINED_LABEL,
+    LabelTally,
     MismatchedIdsError,
     Scores,
     align_ids,
@@ -21,7 +22,6 @@ from mtckit.evaluation import (
     evaluate,
     krippendorff_alpha,
     map_to_label,
-    score_labels,
 )
 from mtckit.rulebase import TypePrediction, evaluate_type_classifier
 
@@ -357,7 +357,10 @@ def test_no_guidelines_matches_oracle():
 def test_labels_with_equal_counts_share_metrics_and_rows():
     gold_sets = [{"a", "b"}, {"c"}, set()]
     pred_sets = [{"a", "b"}, {"d"}, {"e"}]
-    per_label = score_labels(["a", "b", "c", "d", "e", "z"], gold_sets, pred_sets)
+    tally = LabelTally()
+    for g, p in zip(gold_sets, pred_sets):
+        tally.add(g, p)
+    per_label = tally.per_label(["a", "b", "c", "d", "e", "z"])
     assert per_label["a"] is per_label["b"]  # tp 1, support 1, predicted 1
     assert per_label["d"] is per_label["e"]  # tp 0, support 0, predicted 1
     assert per_label["c"] is not per_label["d"]

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import pickle
 import re
@@ -18,9 +19,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtckit
-from mtckit import grammar
+from mtckit import FileFormatError, grammar
 from mtckit.icl import (
     SPECIALIZED_DEFAULT_TYPES,
     CompletionRequest,
@@ -86,6 +89,12 @@ def test_selection_k_too_large(pool):
 @pytest.mark.parametrize("k", [0, -1])
 def test_selection_refuses_k_below_one(pool, k):
     with pytest.raises(InsufficientPoolError, match=f"^k must be at least 1, got {k}$"):
+        select_fewshot(pool, k=k, seed=0)
+
+
+@pytest.mark.parametrize("k, kind", [(8.5, "float"), ("3", "str"), (True, "bool"), (None, "NoneType")])
+def test_selection_refuses_k_that_is_not_an_int(pool, k, kind):
+    with pytest.raises(TypeError, match=f"^k must be an integer, got {kind}$"):
         select_fewshot(pool, k=k, seed=0)
 
 
@@ -181,6 +190,17 @@ def test_specialized_requires_type(pool):
         build_prompt(default_template("specialized"), fewshot, dug)
     with pytest.raises(StrategyMismatchError):
         build_prompt(default_template("simple"), fewshot, dug, mtc_type=2)
+
+
+def test_build_prompt_refuses_wrong_typed_arguments(pool):
+    template, fewshot = default_template("simple"), select_fewshot(pool, k=8, seed=0)
+    dug = make_dug("q", "text", [])
+    with pytest.raises(TypeError, match="^template must be a PromptTemplate, got str$"):
+        build_prompt("x", None, None)
+    with pytest.raises(TypeError, match="^fewshot must be a FewShotSet, got list$"):
+        build_prompt(template, list(fewshot.pairs), dug)
+    with pytest.raises(TypeError, match="^dug must be a Dug, got str$"):
+        build_prompt(template, fewshot, "Take twice daily.")
 
 
 def test_strategy_validation():
@@ -414,7 +434,7 @@ def test_threaded_extraction_with_cold_prefix_cache(tmp_path, pool, prefix_rende
     strategy = PromptStrategy.specialized()
     template = default_template("specialized")
     dugs = [make_dug(f"s{i:02d}", f"Take dose {i} three times daily.", []) for i in range(40)]
-    client = ReplayClient(tmp_path)
+    client = ReplayClient(tmp_path / "fixtures.jsonl")
     for dug in dugs[:-1]:  # the last guideline has no fixtures and fails
         for t in strategy.types:
             client.store(build_prompt(template, fewshot, dug, t), f"{t} times day; before sleep")
@@ -444,6 +464,15 @@ def _in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("package", [mtckit, mtckit.icl], ids=lambda m: m.__name__)
+def test_public_names_resolve_and_star_import_binds_exactly_them(package):
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(package.__all__)
+
+
 def test_import_leaves_requests_unloaded():
     code = "import sys, mtckit; sys.exit('requests' in sys.modules)"
     assert _in_fresh_interpreter(code).returncode == 0
@@ -464,18 +493,61 @@ def test_prompt_fingerprint_is_sha256_of_utf8():
 
 
 def test_replay_round_trip(tmp_path):
-    client = ReplayClient(tmp_path)
-    client.store("a prompt", "a response")
-    response = client.complete(CompletionRequest("a prompt"))
-    assert response.text == "a response"
-    assert (tmp_path / f"{prompt_fingerprint('a prompt')}.txt").exists()
+    path = tmp_path / "fixtures.jsonl"
+    client = ReplayClient(path)
+    assert client.store("a prompt", "a response") == path
+    assert client.complete(CompletionRequest("a prompt")).text == "a response"
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == [
+        {"fingerprint": prompt_fingerprint("a prompt"), "text": "a response"}
+    ]
+    assert ReplayClient(path).complete(CompletionRequest("a prompt")).text == "a response"
 
 
 def test_replay_missing_fixture(tmp_path):
-    client = ReplayClient(tmp_path)
-    with pytest.raises(ServiceError) as err:
-        client.complete(CompletionRequest("never stored"))
-    assert str(err.value) == f"no replay fixture {prompt_fingerprint('never stored')}.txt in {tmp_path}"
+    path = tmp_path / "fixtures.jsonl"
+    client = ReplayClient(path)
+    client.store("another prompt", "a response")
+    for loaded in (client, ReplayClient(path), ReplayClient(tmp_path / "absent.jsonl")):
+        with pytest.raises(ServiceError) as err:
+            loaded.complete(CompletionRequest("never stored"))
+        assert str(err.value) == f"no replay fixture {prompt_fingerprint('never stored')} in {loaded.path}"
+
+
+def test_replay_store_refuses_a_text_that_is_not_a_string(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    client = ReplayClient(path)
+    with pytest.raises(TypeError, match="^response_text must be a string, got NoneType$"):
+        client.store("p", None)
+    assert not path.exists()
+    with pytest.raises(ServiceError):
+        client.complete(CompletionRequest("p"))
+
+
+def test_replay_later_line_wins(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    client = ReplayClient(path)
+    client.store("p", "first")
+    client.store("p", "second")
+    assert client.complete(CompletionRequest("p")).text == "second"
+    assert ReplayClient(path).complete(CompletionRequest("p")).text == "second"
+
+
+def test_replay_store_appends_to_one_file_read_once(tmp_path):
+    path = tmp_path / "nested" / "fixtures.jsonl"
+    client = ReplayClient(path)
+    for i in range(100):
+        client.store(f"prompt {i}", f"{i} times day")
+    assert [p.name for p in path.parent.iterdir()] == ["fixtures.jsonl"]
+    assert len(path.read_bytes().splitlines()) == 100
+    loaded = ReplayClient(path)
+    path.unlink()
+    for i in range(100):
+        assert loaded.complete(CompletionRequest(f"prompt {i}")).text == f"{i} times day"
+
+
+def _expected_replay_text(text: str) -> str:
+    """What text-mode reading gives for the same characters: universal newlines."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @pytest.mark.parametrize(
@@ -485,33 +557,57 @@ def test_replay_missing_fixture(tmp_path):
      b"x" * 4096, b"3 times day\r\n" * 2000],
 )
 def test_replay_reads_fixture_as_read_text_does(tmp_path, data):
-    client = ReplayClient(tmp_path)
-    path = client.store("p", "")
-    path.write_bytes(data)
-    assert client.complete(CompletionRequest("p")).text == path.read_text(encoding="utf-8")
+    path = tmp_path / "fixtures.jsonl"
+    ReplayClient(path).store("p", data.decode("utf-8"))
+    (tmp_path / "text.txt").write_bytes(data)
+    expected = (tmp_path / "text.txt").read_text(encoding="utf-8")
+    assert _expected_replay_text(data.decode("utf-8")) == expected
+    assert ReplayClient(path).complete(CompletionRequest("p")).text == expected
 
 
-def _unreadable_fixture(tmp_path, kind, prompt="p") -> ReplayClient:
-    client = ReplayClient(tmp_path)
-    name = f"{prompt_fingerprint(prompt)}.txt"
+@settings(max_examples=150, deadline=None)
+@given(text=st.text())
+def test_replay_gives_back_any_stored_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("replay") / "fixtures.jsonl"
+    client = ReplayClient(path)
+    client.store("p", text)
+    expected = _expected_replay_text(text)
+    assert client.complete(CompletionRequest("p")).text == expected
+    assert ReplayClient(path).complete(CompletionRequest("p")).text == expected
+
+
+def _unreadable_fixture(tmp_path, kind) -> Path:
+    """A fixtures path that cannot be loaded; a bad line is always line 2."""
+    path = tmp_path / "fixtures.jsonl"
+    good = json.dumps({"fingerprint": prompt_fingerprint("p"), "text": "in morning"})
     if kind == "directory":
-        (tmp_path / name).mkdir()
+        path.mkdir()
+    elif kind == "parent is a file":
+        path.write_text("")
+        path = path / "fixtures.jsonl"
     elif kind == "not utf-8":
-        (tmp_path / name).write_bytes(b"3 times day \xff\xfe")
-    elif kind == "fixtures dir is a file":
-        (tmp_path / "fixtures").write_text("")
-        client = ReplayClient(tmp_path / "fixtures")
-    return client
+        path.write_bytes(good.encode() + b"\n" + good.encode()[:-2] + b"\xff\xfe\"}\n")
+    elif kind == "not json":
+        path.write_text(f"{good}\n{good[:-1]}\n", encoding="utf-8")
+    elif kind == "not a fixture record":
+        path.write_text(f'{good}\n{{"fingerprint": "{"A" * 64}", "text": "x"}}\n', encoding="utf-8")
+    return path
 
 
-_UNREADABLE = ["directory", "not utf-8", "fixtures dir is a file"]
+_UNREADABLE = ["directory", "parent is a file", "not utf-8", "not json", "not a fixture record"]
 
 
 @pytest.mark.parametrize("kind", _UNREADABLE)
-def test_replay_unreadable_fixture_is_service_error(tmp_path, kind):
-    client = _unreadable_fixture(tmp_path, kind)
-    with pytest.raises(ServiceError):
-        client.complete(CompletionRequest("p"))
+def test_replay_unreadable_fixture_file_fails_to_load(tmp_path, kind):
+    path = _unreadable_fixture(tmp_path, kind)
+    if kind in ("directory", "parent is a file"):
+        with pytest.raises(OSError):
+            ReplayClient(path)
+    else:
+        with pytest.raises(FileFormatError) as err:
+            ReplayClient(path)
+        assert [line for line, _ in err.value.problems] == [2]
+        assert str(err.value).startswith(f"{path}:2: ")
 
 
 _NO_JSON = object()
@@ -624,7 +720,7 @@ def _fewshot(pool) -> FewShotSet:
 
 def _stock_replay(tmp_path, fewshot, dug, strategy, answers) -> ReplayClient:
     """Store fixtures for every prompt the strategy will issue for ``dug``."""
-    client = ReplayClient(tmp_path)
+    client = ReplayClient(tmp_path / "fixtures.jsonl")
     template = default_template(strategy.kind)
     if strategy.kind == "specialized":
         for t in strategy.types:
@@ -686,26 +782,28 @@ def test_extract_refuses_fewshot_members(tmp_path, pool):
     fewshot = _fewshot(pool)
     member = next(d for d in pool if d.id in fewshot.ids)
     with pytest.raises(FewShotLeakageError):
-        extract(member, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path))
+        extract(member, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path / "fixtures.jsonl"))
 
 
 def test_extract_marks_failure_without_fabricating(tmp_path, pool):
     fewshot = _fewshot(pool)
     dug = make_dug("q5", "Take with food as directed.", [])
-    record = extract(dug, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path))
+    record = extract(dug, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path / "fixtures.jsonl"))
     assert record.failed
     assert record.mtcs == () and record.candidates == ()
 
 
-@pytest.mark.parametrize("kind", _UNREADABLE)
-def test_extract_marks_unreadable_fixture_failed(tmp_path, pool, kind):
+def test_extract_marks_only_the_record_with_a_missing_fixture_failed(tmp_path, pool):
     fewshot = _fewshot(pool)
-    dug = make_dug("q7", "Take with food as directed.", [])
-    prompt = build_prompt(default_template("simple"), fewshot, dug)
-    client = _unreadable_fixture(tmp_path, kind, prompt)
-    record = extract(dug, PromptStrategy.simple(), fewshot, client)
-    assert record.failed
-    assert record.raw_outputs == () and record.candidates == () and record.mtcs == ()
+    template = default_template("simple")
+    stocked, missing = (make_dug(f"q{i}", f"Take dose {i} with food as directed.", []) for i in (6, 7))
+    path = tmp_path / "fixtures.jsonl"
+    ReplayClient(path).store(build_prompt(template, fewshot, stocked), "in morning")
+    client = ReplayClient(path)
+    first, second = iter_extract_corpus([stocked, missing], PromptStrategy.simple(), fewshot, client)
+    assert not first.failed and first.predictions == ("in morning",)
+    assert second.failed and second.error.startswith("no replay fixture ")
+    assert second.raw_outputs == () and second.candidates == () and second.mtcs == ()
 
 
 @pytest.mark.parametrize("payload", _MALFORMED_BODIES)
@@ -832,7 +930,7 @@ def test_type_guides_read_once_and_copied():
 def test_extract_corpus_order_and_determinism(tmp_path, pool):
     fewshot = _fewshot(pool)
     eval_split = exclude_fewshot(pool, fewshot)
-    client = ReplayClient(tmp_path)
+    client = ReplayClient(tmp_path / "fixtures.jsonl")
     template = default_template("simple")
     for dug in eval_split:
         client.store(build_prompt(template, fewshot, dug), gold_answer(dug))
