@@ -239,6 +239,8 @@ def _build_client(args, config: dict):
     if args.client == "replay":
         if not args.fixtures:
             raise ValueError("--client replay requires --fixtures FILE")
+        if not Path(args.fixtures).exists():  # ReplayClient would read it as an empty table
+            raise ValueError(f"--fixtures: no such file: {args.fixtures}")
         return ReplayClient(args.fixtures)
     http = _settings(args, config, "http")
     if not http.get("base_url"):
@@ -259,12 +261,12 @@ def cmd_extract(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--types: {exc}") from None
     config = load_config(args.config)
+    client = _build_client(args, config)
     dugs = dataset.load_dugs(args.file)
     fewshot = fewshot_from_dugs(dataset.load_dugs(args.fewshot))
     kept = exclude_fewshot(dugs, fewshot)
     if len(kept) != len(dugs):
         _note(f"excluded {len(dugs) - len(kept)} few-shot guideline(s) from extraction")
-    client = _build_client(args, config)
     records = iter_extract_corpus(
         kept, strategy, fewshot, client, parallelism=args.parallelism, **_settings(args, config, "decoding")
     )

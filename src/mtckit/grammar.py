@@ -1,14 +1,7 @@
 """Typed medical temporal constraints (MTCs) and their canonical surface grammar.
 
-An MTC is one of seven constraint forms, optionally negated:
-
-    1. definitive dependency   ``30 minute before eating``
-    2. frequency               ``3 times day``
-    3. interval                ``6 hour apart``
-    4. imprecise dependency    ``before sleep``
-    5. time dependency         ``before 9 am``
-    6. consistency             ``at the same time each day``
-    7. time of day             ``in morning``
+An MTC is one of seven constraint forms, optionally negated, each a value
+class that declares its type number, name, canonical form and example.
 
 Every form has exactly one canonical surface string (digits, singular
 units, lowercase; negation as a leading ``not``). :func:`parse_mtc` accepts
@@ -37,7 +30,7 @@ import functools
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Union
+from typing import Callable, ClassVar, Union, get_args, get_type_hints
 
 
 class NonvalidMtcError(ValueError):
@@ -83,6 +76,7 @@ class SameTime:
 
     def __str__(self) -> str:
         return "the same time"
+    value = property(__str__)  # the text, as an enum member's ``.value`` is
 
 
 SAME_TIME = SameTime()
@@ -106,26 +100,28 @@ class ClockTime:
 
     def minutes_into_day(self) -> int:
         """Minutes after midnight (0..1439), for time comparisons."""
-        hour = self.hour % 12
-        if self.meridiem == "pm":
-            hour += 12
-        return hour * 60 + self.minute
+        return (self.hour % 12 + (12 if self.meridiem == "pm" else 0)) * 60 + self.minute
 
     def __str__(self) -> str:
-        if self.minute:
-            return f"{self.hour}.{self.minute:02d} {self.meridiem}"
-        return f"{self.hour} {self.meridiem}"
+        minute = f".{self.minute:02d}" if self.minute else ""
+        return f"{self.hour}{minute} {self.meridiem}"
+    value = property(__str__)  # the text, as an enum member's ``.value`` is
 
 
 TimeStamp = Union[SameTime, ClockTime]
 
 
-def _check_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"count must be a positive integer, got {n!r}")
+def _check_count(n: object) -> int:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return n
 
 
-def _check_activity(name: str) -> None:
+def _check_activity(name: object) -> str:
+    if type(name) is not str:  # a str enum member would format as another text
+        raise TypeError(f"activity must be a str, got {type(name).__name__}")
     if not name or name != " ".join(name.split()):
         raise ValueError(f"activity must be a nonempty single-spaced phrase, got {name!r}")
     if name != name.lower():
@@ -138,136 +134,179 @@ def _check_activity(name: str) -> None:
     # time belongs to the time-dependency form, never to an activity slot.
     if _parse_clock(name) is not None:
         raise ValueError(f"activity must not be a clock time, got {name!r}")
+    return name
+
+
+def _check_negated(flag: object) -> bool:
+    if flag is True or flag is False:
+        return flag
+    raise TypeError(f"negated must be a bool, got {type(flag).__name__}")
+
+
+def _field_check(name: str, kind) -> Callable[[object], object]:
+    """The check of the field ``name`` annotated ``kind``; it returns the value to keep."""
+    if kind in (int, str, bool):
+        return {int: _check_count, str: _check_activity, bool: _check_negated}[kind]
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        def check_member(value):
+            if type(value) is kind:
+                return value
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a {kind.__name__} or a str, got {type(value).__name__}")
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"{name} must name a {kind.__name__}, got {value!r}") from None
+        return check_member
+    allowed = get_args(kind) or (kind,)  # ClockTime, or either kind of TimeStamp
+
+    def check_time(value):
+        if not isinstance(value, allowed):
+            error = ValueError if isinstance(value, get_args(TimeStamp)) else TypeError
+            raise error(f"{name} must be a {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+        return value
+    return check_time
+
+
+class _Constraint:
+    """Base of the seven MTC value classes. Each declares its type number,
+    name, canonical form and example, and writes its canonical string,
+    negation aside, in ``_body``: an enum field or a time stamp by its ``.value``.
+
+    A new value's field of the wrong type raises ``TypeError``, and a bad value
+    ``ValueError``, naming the field:
+
+    - an enum field takes a member, or a ``str`` naming one, kept as the member;
+    - ``n`` is a positive ``int``, never a ``bool``;
+    - ``activity`` is a plain ``str``: nonempty, lowercase, single-spaced, no ``;``, not a clock time;
+    - ``negated`` is a ``bool``;
+    - ``time`` is a :class:`ClockTime`, or for a consistency also :data:`SAME_TIME`.
+    """
+
+    TYPE: ClassVar[int]
+    NAME: ClassVar[str]
+    FORM: ClassVar[str]
+    EXAMPLE: ClassVar[str]
+
+    def __init_subclass__(cls) -> None:
+        kinds = get_type_hints(cls)  # once per class, never per value
+        cls._CHECKS = tuple((name, _field_check(name, kinds[name])) for name in cls.__annotations__)
+
+    def __post_init__(self) -> None:
+        for name, check in self._CHECKS:
+            value = getattr(self, name)
+            if (checked := check(value)) is not value:  # an enum member named by a str
+                object.__setattr__(self, name, checked)
 
 
 @dataclass(frozen=True)
-class DefinitiveDependency:
+class DefinitiveDependency(_Constraint):
     """Intake a fixed offset before/after another activity (type 1)."""
 
+    TYPE, NAME = 1, "definitive dependency"
+    FORM, EXAMPLE = "{n} {unit} {before|after} {activity}", "30 minute before eating"
     n: int
     unit: TimeUnit
     dp: DependencyPrep
     activity: str
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        _check_count(self.n)
-        _check_activity(self.activity)
+    def _body(self) -> str:
+        return f"{self.n} {self.unit.value} {self.dp.value} {self.activity}"
 
 
 @dataclass(frozen=True)
-class Frequency:
+class Frequency(_Constraint):
     """Number of intakes per time unit (type 2)."""
 
+    TYPE, NAME = 2, "frequency"
+    FORM, EXAMPLE = "{n} times {unit}", "3 times day"
     n: int
     unit: TimeUnit
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        _check_count(self.n)
+    def _body(self) -> str:
+        return f"{self.n} times {self.unit.value}"
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Constraint):
     """Spacing between consecutive intakes (type 3)."""
 
+    TYPE, NAME = 3, "interval"
+    FORM, EXAMPLE = "{n} {unit} {within|for|apart}", "6 hour apart"
     n: int
     unit: TimeUnit
     ip: IntervalPrep
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        _check_count(self.n)
+    def _body(self) -> str:
+        return f"{self.n} {self.unit.value} {self.ip.value}"
 
 
 @dataclass(frozen=True)
-class ImpreciseDependency:
+class ImpreciseDependency(_Constraint):
     """Intake before/after another activity, no offset given (type 4)."""
 
+    TYPE, NAME = 4, "imprecise dependency"
+    FORM, EXAMPLE = "{before|after} {activity}", "before eating"
     dp: DependencyPrep
     activity: str
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        _check_activity(self.activity)
+    def _body(self) -> str:
+        return f"{self.dp.value} {self.activity}"
 
 
 @dataclass(frozen=True)
-class TimeDependency:
+class TimeDependency(_Constraint):
     """Intake before/after a concrete clock time (type 5)."""
 
+    TYPE, NAME = 5, "time dependency"
+    FORM, EXAMPLE = "{before|after} {clock time}", "before 9 am"
     dp: DependencyPrep
     time: ClockTime
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, ClockTime):
-            raise ValueError("time dependency requires a concrete clock time")
+    def _body(self) -> str:
+        return f"{self.dp.value} {self.time.value}"
 
 
 @dataclass(frozen=True)
-class Consistency:
+class Consistency(_Constraint):
     """Intake at a recurring time each period (type 6)."""
 
+    TYPE, NAME = 6, "consistency"
+    FORM, EXAMPLE = "{at|in} {time} each {unit}", "at the same time each day"
     p: OccurrencePrep
     time: TimeStamp
     unit: TimeUnit
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, (SameTime, ClockTime)):
-            raise ValueError("consistency timestamp must be 'the same time' or a clock time")
+    def _body(self) -> str:
+        return f"{self.p.value} {self.time.value} each {self.unit.value}"
 
 
 @dataclass(frozen=True)
-class TimeOfDay:
+class TimeOfDay(_Constraint):
     """Intake within a named part of the day (type 7)."""
 
+    TYPE, NAME = 7, "time of day"
+    FORM, EXAMPLE = "{at|in} {morning|evening|noon}", "in morning"
     p: OccurrencePrep
     day_part: DayPart
     negated: bool = False
 
+    def _body(self) -> str:
+        return f"{self.p.value} {self.day_part.value}"
 
-Mtc = Union[
-    DefinitiveDependency,
-    Frequency,
-    Interval,
-    ImpreciseDependency,
-    TimeDependency,
-    Consistency,
-    TimeOfDay,
-]
 
-_TYPE_BY_CLASS = {
-    DefinitiveDependency: 1,
-    Frequency: 2,
-    Interval: 3,
-    ImpreciseDependency: 4,
-    TimeDependency: 5,
-    Consistency: 6,
-    TimeOfDay: 7,
-}
+Mtc = Union[DefinitiveDependency, Frequency, Interval, ImpreciseDependency, TimeDependency, Consistency, TimeOfDay]
 
-MTC_TYPE_NAMES = {
-    1: "definitive dependency",
-    2: "frequency",
-    3: "interval",
-    4: "imprecise dependency",
-    5: "time dependency",
-    6: "consistency",
-    7: "time of day",
-}
-
+_TYPE_BY_CLASS = {cls: cls.TYPE for cls in get_args(Mtc)}
+MTC_TYPE_NAMES = {cls.TYPE: cls.NAME for cls in get_args(Mtc)}
 #: Canonical shape of each constraint form, used by prompt builders and docs.
-CANONICAL_FORMS = {
-    1: ("{n} {unit} {before|after} {activity}", "30 minute before eating"),
-    2: ("{n} times {unit}", "3 times day"),
-    3: ("{n} {unit} {within|for|apart}", "6 hour apart"),
-    4: ("{before|after} {activity}", "before eating"),
-    5: ("{before|after} {clock time}", "before 9 am"),
-    6: ("{at|in} {time} each {unit}", "at the same time each day"),
-    7: ("{at|in} {morning|evening|noon}", "in morning"),
-}
+CANONICAL_FORMS = {cls.TYPE: (cls.FORM, cls.EXAMPLE) for cls in get_args(Mtc)}
 
 #: Terminal vocabularies of the constraint grammar, for prompt builders and docs.
 TERMINALS = [
@@ -320,36 +359,17 @@ def serialize(mtc: Mtc) -> str:
 
 def _render(mtc: Mtc) -> str:
     """:func:`serialize` without the cache."""
-    if isinstance(mtc, DefinitiveDependency):
-        body = f"{mtc.n} {mtc.unit.value} {mtc.dp.value} {mtc.activity}"
-    elif isinstance(mtc, Frequency):
-        body = f"{mtc.n} times {mtc.unit.value}"
-    elif isinstance(mtc, Interval):
-        body = f"{mtc.n} {mtc.unit.value} {mtc.ip.value}"
-    elif isinstance(mtc, ImpreciseDependency):
-        body = f"{mtc.dp.value} {mtc.activity}"
-    elif isinstance(mtc, TimeDependency):
-        body = f"{mtc.dp.value} {mtc.time}"
-    elif isinstance(mtc, Consistency):
-        body = f"{mtc.p.value} {mtc.time} each {mtc.unit.value}"
-    elif isinstance(mtc, TimeOfDay):
-        body = f"{mtc.p.value} {mtc.day_part.value}"
-    else:
+    if type(mtc) not in _TYPE_BY_CLASS:
         raise TypeError(f"not an MTC value: {mtc!r}")
+    body = mtc._body()
     return f"not {body}" if mtc.negated else body
 
 
 #: Number words the grammar accepts for a count or a clock hour; ``normalize``
 #: and the rule baseline's ``{num}`` placeholder use this same table.
-NUMBER_WORDS = {
-    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
-    "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
-}
+NUMBER_WORDS = dict(zip("one two three four five six seven eight nine ten eleven twelve".split(), range(1, 13)))
 
-_UNIT_ALIASES = {}
-for _u in TimeUnit:
-    _UNIT_ALIASES[_u.value] = _u
-    _UNIT_ALIASES[_u.value + "s"] = _u
+_UNIT_ALIASES = {alias: u for u in TimeUnit for alias in (u.value, u.value + "s")}
 
 _DP_WORDS = {v.value: v for v in DependencyPrep}
 _IP_WORDS = {v.value: v for v in IntervalPrep}
@@ -364,22 +384,16 @@ _CLOCK_RE = re.compile(
 )
 
 
-
 def _parse_clock(text: str) -> ClockTime | None:
     """Clock time from a phrase like ``9 am`` / ``10.30 pm`` / ``9:30pm``, else None."""
     m = _CLOCK_RE.match(text.strip())
     if not m:
         return None
     raw_hour = m.group("hour")
-    if raw_hour.isdigit():
-        hour = int(raw_hour)
-    elif raw_hour in NUMBER_WORDS:
-        hour = NUMBER_WORDS[raw_hour]
-    else:
-        return None
+    hour = int(raw_hour) if raw_hour.isdigit() else NUMBER_WORDS.get(raw_hour)
     minute = int(m.group("minute")) if m.group("minute") else 0
     meridiem = "am" if m.group("mer").startswith("a") else "pm"
-    if not 1 <= hour <= 12 or not 0 <= minute <= 59:
+    if hour is None or not 1 <= hour <= 12 or not 0 <= minute <= 59:
         return None
     return ClockTime(hour, minute, meridiem)
 
@@ -387,11 +401,8 @@ def _parse_clock(text: str) -> ClockTime | None:
 def _parse_count(token: str) -> int:
     if _RANGE_RE.match(token):
         raise NonvalidMtcError(f"numeric range not allowed as a count: {token!r}")
-    if token.isascii() and token.isdigit():
-        n = int(token)
-    elif token in NUMBER_WORDS:
-        n = NUMBER_WORDS[token]
-    else:
+    n = int(token) if token.isascii() and token.isdigit() else NUMBER_WORDS.get(token)
+    if n is None:
         raise NonvalidMtcError(f"expected a number, got {token!r}")
     if n < 1:
         raise NonvalidMtcError(f"count must be at least 1, got {n}")
@@ -414,7 +425,7 @@ def _skip_article(tokens: list[str]) -> list[str]:
     return tokens
 
 
-def _parse_numeric_family(tokens: list[str]) -> Mtc:
+def _parse_numeric_family(tokens: list[str], negated: bool) -> Mtc:
     n = _parse_count(tokens[0])
     rest = tokens[1:]
     if not rest:
@@ -423,11 +434,10 @@ def _parse_numeric_family(tokens: list[str]) -> Mtc:
         unit_tokens = _skip_article(rest[1:])
         if len(unit_tokens) != 1:
             raise NonvalidMtcError("frequency must end with a single time unit")
-        if unit_tokens[0] == "daily":
-            return Frequency(n, TimeUnit.DAY)
-        return Frequency(n, _parse_unit(unit_tokens[0]))
+        unit = TimeUnit.DAY if unit_tokens[0] == "daily" else _parse_unit(unit_tokens[0])
+        return Frequency(n, unit, negated)
     if rest == ["daily"]:
-        return Frequency(n, TimeUnit.DAY)
+        return Frequency(n, TimeUnit.DAY, negated)
     unit = _parse_unit(rest[0])
     rest = rest[1:]
     if not rest:
@@ -438,31 +448,30 @@ def _parse_numeric_family(tokens: list[str]) -> Mtc:
         if not activity:
             raise NonvalidMtcError(f"missing activity after {prep!r}")
         try:
-            return DefinitiveDependency(n, unit, _DP_WORDS[prep], activity)
+            return DefinitiveDependency(n, unit, _DP_WORDS[prep], activity, negated)
         except ValueError as exc:
             raise NonvalidMtcError(str(exc)) from None
     if prep in _IP_WORDS:
         if rest[1:]:
             raise NonvalidMtcError(f"unexpected text after interval preposition: {' '.join(rest[1:])!r}")
-        return Interval(n, unit, _IP_WORDS[prep])
+        return Interval(n, unit, _IP_WORDS[prep], negated)
     raise NonvalidMtcError(f"expected a dependency or interval preposition, got {prep!r}")
 
 
-def _parse_dependency_family(tokens: list[str]) -> Mtc:
+def _parse_dependency_family(tokens: list[str], negated: bool) -> Mtc:
     dp = _DP_WORDS[tokens[0]]
     tail = " ".join(tokens[1:])
     if not tail:
         raise NonvalidMtcError(f"{tokens[0]!r} needs an activity or clock time after it")
-    clock = _parse_clock(tail)
-    if clock is not None:
-        return TimeDependency(dp, clock)
+    if (clock := _parse_clock(tail)) is not None:
+        return TimeDependency(dp, clock, negated)
     try:
-        return ImpreciseDependency(dp, tail)
+        return ImpreciseDependency(dp, tail, negated)
     except ValueError as exc:
         raise NonvalidMtcError(str(exc)) from None
 
 
-def _parse_occurrence_family(tokens: list[str]) -> Mtc:
+def _parse_occurrence_family(tokens: list[str], negated: bool) -> Mtc:
     p = _P_WORDS[tokens[0]]
     rest = tokens[1:]
     if not rest:
@@ -471,20 +480,18 @@ def _parse_occurrence_family(tokens: list[str]) -> Mtc:
     if rest[:3] == ["the", "same", "time"]:
         timestamp = SAME_TIME
         rest = rest[3:]
-    elif len(rest) >= 2 and _parse_clock(" ".join(rest[:2])) is not None:
-        timestamp = _parse_clock(" ".join(rest[:2]))
+    elif len(rest) >= 2 and (timestamp := _parse_clock(" ".join(rest[:2]))) is not None:
         rest = rest[2:]
-    elif _parse_clock(rest[0]) is not None:
-        timestamp = _parse_clock(rest[0])
+    elif (timestamp := _parse_clock(rest[0])) is not None:
         rest = rest[1:]
     if timestamp is not None:
         if len(rest) != 2 or rest[0] != "each":
             raise NonvalidMtcError("consistency needs 'each <unit>' after the time")
-        return Consistency(p, timestamp, _parse_unit(rest[1]))
+        return Consistency(p, timestamp, _parse_unit(rest[1]), negated)
     if rest and rest[0] == "the":
         rest = rest[1:]
     if len(rest) == 1 and rest[0] in _DAY_PARTS:
-        return TimeOfDay(p, _DAY_PARTS[rest[0]])
+        return TimeOfDay(p, _DAY_PARTS[rest[0]], negated)
     raise NonvalidMtcError(f"expected a day part or 'time each unit', got {' '.join(rest)!r}")
 
 
@@ -535,14 +542,11 @@ def _parse(text: str) -> Mtc:
         tokens = tokens[1:]
     if not tokens:
         raise NonvalidMtcError("nothing after 'not'")
-    head = tokens[0]
-    if head in _DP_WORDS:
-        mtc = _parse_dependency_family(tokens)
-    elif head in _P_WORDS:
-        mtc = _parse_occurrence_family(tokens)
-    else:
-        mtc = _parse_numeric_family(tokens)
-    return with_negated(mtc, True) if negated else mtc
+    if tokens[0] in _DP_WORDS:
+        return _parse_dependency_family(tokens, negated)
+    if tokens[0] in _P_WORDS:
+        return _parse_occurrence_family(tokens, negated)
+    return _parse_numeric_family(tokens, negated)
 
 
 def is_valid(text: str) -> bool:
@@ -572,14 +576,10 @@ class MtcListResult:
 
 def dedup_mtcs(items: list[Mtc]) -> tuple[Mtc, ...]:
     """Drop duplicates under canonical-string equality, keeping first occurrence."""
-    seen: set[str] = set()
-    out: list[Mtc] = []
+    kept: dict[str, Mtc] = {}
     for item in items:
-        key = serialize(item)
-        if key not in seen:
-            seen.add(key)
-            out.append(item)
-    return tuple(out)
+        kept.setdefault(serialize(item), item)
+    return tuple(kept.values())
 
 
 #: What separates the constraints of a compound string: ``;`` or a newline.
@@ -611,9 +611,5 @@ def mtc_to_dict(mtc: Mtc) -> dict:
     out: dict = {"type": mtc_type(mtc), "canonical": serialize(mtc)}
     for f in fields(mtc):
         value = getattr(mtc, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, (SameTime, ClockTime)):
-            value = str(value)
-        out[f.name] = value
+        out[f.name] = getattr(value, "value", value)  # the text _body writes for an enum or a time
     return out

@@ -67,7 +67,7 @@ class PromptStrategy:
         if self.kind == "specialized":
             if not self.types:
                 object.__setattr__(self, "types", SPECIALIZED_DEFAULT_TYPES)
-            if not set(self.types) <= set(range(1, 8)):
+            if not set(self.types) <= grammar.MTC_TYPE_NAMES.keys():
                 raise ValueError(f"specialized types must be within 1..7, got {self.types}")
             if len(set(self.types)) != len(self.types):
                 raise ValueError(f"specialized types must not repeat, got {self.types}")
@@ -142,14 +142,15 @@ class TypeGuide:
 
 
 def type_guides() -> dict[int, TypeGuide]:
-    """Per-type prompt material (name, description, format heuristic)."""
+    """Per-type prompt material (declared name, description, format heuristic)."""
     return dict(_type_guide_table())
 
 
 @functools.cache
 def _type_guide_table() -> dict[int, TypeGuide]:
-    path, layout = DATA / "prompts" / "type_guides.tsv", "type<TAB>name<TAB>description<TAB>heuristic"
-    return dict(read_table(path, layout, lambda t, *guide: (int(t), TypeGuide(*guide))))
+    path, layout = DATA / "prompts" / "type_guides.tsv", "type<TAB>description<TAB>heuristic"
+    names = grammar.MTC_TYPE_NAMES
+    return dict(read_table(path, layout, lambda t, *guide: (int(t), TypeGuide(names[int(t)], *guide))))
 
 
 def _terminals_block() -> str:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dataset import Dug
 from .evaluation import LabelMetrics, LabelTally, Scores, align_ids, macro_average
-from .grammar import NUMBER_WORDS, mtc_type
+from .grammar import MTC_TYPE_NAMES, NUMBER_WORDS, mtc_type
 from .tables import DATA, read_table
 
 _NUM_RE = r"(?:\d+|" + "|".join(NUMBER_WORDS) + ")"
@@ -46,7 +46,7 @@ class TypeRule:
     pattern: str
 
     def __post_init__(self) -> None:
-        if self.mtc_type not in range(1, 8):
+        if self.mtc_type not in MTC_TYPE_NAMES:
             raise ValueError(f"type must be 1..7, got {self.mtc_type}")
         if not self.pattern.strip():
             raise ValueError("pattern must be nonempty")
@@ -86,7 +86,7 @@ class TypePrediction:
     types: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not set(self.types) <= set(range(1, 8)):
+        if not set(self.types) <= MTC_TYPE_NAMES.keys():
             raise ValueError(f"types must be within 1..7, got {sorted(self.types)}")
 
 

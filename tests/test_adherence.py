@@ -325,7 +325,8 @@ _configs = st.builds(
     imprecision_horizon=st.sampled_from((0, 60, 120)).map(lambda m: timedelta(minutes=m)),
     consistency_tolerance=st.sampled_from((0, 60, 180)).map(lambda m: timedelta(minutes=m)),
 )
-_MINUTES = {grammar.TimeUnit.MINUTE: 1, grammar.TimeUnit.HOUR: 60, grammar.TimeUnit.DAY: 1440}
+_MINUTES = {grammar.TimeUnit.MINUTE: 1, grammar.TimeUnit.HOUR: 60, grammar.TimeUnit.DAY: 1440,
+            grammar.TimeUnit.WEEK: 7 * 1440}
 
 
 def _edges(mtc, cfg) -> list[int]:
@@ -515,24 +516,56 @@ def test_timestamps_and_window_bounds_keep_their_wall_clock_at_a_fixed_offset():
     assert all(type(bound.tzinfo) is timezone for bound in line.window)
 
 
+#: The periods a clock change falls inside.
+_LONG_UNITS = (grammar.TimeUnit.DAY, grammar.TimeUnit.WEEK)
 _dst_mtcs = st.one_of(
     st.builds(lambda nu, dp, a: grammar.DefinitiveDependency(*nu, dp, a), _offsets, _dps, _activities),
-    st.builds(grammar.Frequency, st.integers(1, 3), st.just(grammar.TimeUnit.HOUR)),
+    st.builds(grammar.Frequency, st.integers(1, 3), st.sampled_from((grammar.TimeUnit.HOUR, *_LONG_UNITS))),
     st.builds(grammar.Interval, st.integers(1, 6), st.just(grammar.TimeUnit.HOUR),
               st.sampled_from((grammar.IntervalPrep.APART, grammar.IntervalPrep.WITHIN))),
     st.builds(grammar.ImpreciseDependency, _dps, _activities),
+    st.builds(grammar.Consistency, _ops, st.one_of(st.just(grammar.SAME_TIME), _clocks),
+              st.sampled_from(_LONG_UNITS)),
 )
+
+
+def _dst_schedule(draw, mtc) -> tuple[list, tuple[int, int]]:
+    """Intakes every period / n minutes (every period for a consistency),
+    each moved by the hour the clocks jump and a minute either way or not,
+    one of two or more perhaps left out, the first before the change, and
+    a window of two or three periods whose first holds the change; all in
+    minutes from the change."""
+    period = _MINUTES[mtc.unit]
+    spacing = period // mtc.n if isinstance(mtc, grammar.Frequency) else period
+    start = -10 * draw(st.integers(1, period // 10))
+    window = (start, start + period * draw(st.integers(2, 3)) + 10 * draw(st.integers(0, 6)))
+    first = start + 10 * draw(st.integers(0, min(spacing, -start) // 10 - 1))
+    shifts = st.sampled_from((-60, 0, 60)).flatmap(lambda hour: st.sampled_from((hour - 1, hour, hour + 1)))
+    times = range(first, window[1], spacing)
+    skipped = draw(st.sets(st.integers(0, len(times) - 1), max_size=min(1, len(times) - 1)))
+    placed = [("intake", "medication", minute + draw(shifts)) for i, minute in enumerate(times) if i not in skipped]
+    return placed, window
 
 
 @st.composite
 def _dst_cases(draw):
-    """A type 1-4 constraint, its tolerances, and the UTC instants of events
-    within six hours of a daylight-saving change and of a window about them.
+    """A type 1-4 constraint, or a day or week frequency or consistency, its
+    tolerances, and the UTC instants of events about a daylight-saving change
+    and of a window about them.
 
-    Most intakes get a second event on an edge of the constraint, moved by the
-    hour the clocks jump and a minute either way."""
+    Type 1-4 events lie within six hours of the change, and most intakes get
+    a second event on an edge of the constraint, moved by the hour the clocks
+    jump and a minute either way. Day and week constraints get a schedule
+    (see :func:`_dst_schedule`)."""
     mtc, cfg = draw(_dst_mtcs), draw(_configs)
     change = draw(st.sampled_from(DST_CHANGES))
+
+    def at(minute: int) -> datetime:
+        return change + timedelta(minutes=minute)
+
+    if isinstance(mtc, (grammar.Frequency, grammar.Consistency)) and mtc.unit in _LONG_UNITS:
+        placed, window = _dst_schedule(draw, mtc)
+        return mtc, cfg, [(kind, name, at(minute)) for kind, name, minute in placed], tuple(map(at, window))
     minutes = st.integers(-36, 36).map(lambda m: 10 * m)
     if isinstance(mtc, grammar.Interval):
         kind, names, edges = "intake", ("medication",), [mtc.n * 60]
@@ -545,21 +578,25 @@ def _dst_cases(draw):
             shift = draw(st.sampled_from(edges)) + draw(st.sampled_from((-60, 0, 60))) + draw(st.sampled_from((-1, 0, 1)))
             placed.append((kind, draw(st.sampled_from(names)), minute + shift))
     window = (10 * draw(st.integers(-42, -30)), 10 * draw(st.integers(30, 42)))
-    events = [(kind, name, change + timedelta(minutes=minute)) for kind, name, minute in placed]
-    return mtc, cfg, events, tuple(change + timedelta(minutes=minute) for minute in window)
+    return mtc, cfg, [(kind, name, at(minute)) for kind, name, minute in placed], tuple(map(at, window))
 
 
 @needs_berlin
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_dst_cases())
-def test_events_in_a_zone_with_rules_check_as_their_instants_in_utc(case):
+def test_events_in_a_zone_with_rules_check_as_the_oracle_and_as_their_instants_in_utc(case):
     mtc, cfg, events, window = case
     in_utc = Timeline.build([TimelineEvent(*event) for event in events], window)
     zoned = Timeline.build(
         [TimelineEvent(kind, name, at.astimezone(BERLIN)) for kind, name, at in events],
         tuple(bound.astimezone(BERLIN) for bound in window),
     )
-    assert check(mtc, zoned, cfg).status is check(mtc, in_utc, cfg).status
+    verdict = check(mtc, zoned, cfg)
+    assert (verdict.status.value, verdict.explanation) == oracle_check(mtc, zoned, cfg)
+    # A consistency reads local clock times, which the zone moves; every
+    # other check reads elapsed time only.
+    if not isinstance(mtc, grammar.Consistency):
+        assert verdict.status is check(mtc, in_utc, cfg).status
 
 
 # ------------------------------------------------------------ timeline io

@@ -198,6 +198,18 @@ def test_extract_replay_requires_fixtures(tmp_path, pool, capsys):
     assert "--fixtures" in err
 
 
+def test_extract_replay_refuses_a_missing_fixtures_file_before_any_record(tmp_path, pool, capsys):
+    corpus, fewshot_file, _ = _prepare_replay_run(tmp_path, pool)
+    missing = tmp_path / "no-such-fixtures.jsonl"
+    code, out, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--client", "replay",
+        "--fixtures", str(missing),
+    ])
+    assert code == 1 and out == ""
+    assert err == f"error: --fixtures: no such file: {missing}\n"
+    assert not missing.exists()
+
+
 def _extract_args(*extra):
     return ["extract", "--file", "corpus.jsonl", "--fewshot", "fewshot.jsonl", *extra]
 
@@ -654,13 +666,14 @@ _FILE_COMMANDS = {
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """The valid input files beside the fuzzed one; the fixtures directory stays empty."""
+    """The valid input files beside the fuzzed one; the fixtures file stays empty."""
     base = tmp_path_factory.mktemp("input_files")
     for kind in ("corpus", "pred"):
         (base / f"{kind}.jsonl").write_text(json.dumps(_RECORDS[kind]) + "\n", encoding="utf-8")
     dataset.dump_dugs(stratified_pool()[:4], base / "fewshot.jsonl")
+    (base / "fixtures.jsonl").write_bytes(b"")
     valid = {kind: str(base / f"{kind}.jsonl") for kind in ("corpus", "pred", "fewshot")}
-    valid["replay"] = ["--client", "replay", "--fixtures", str(base / "fixtures")]
+    valid["replay"] = ["--client", "replay", "--fixtures", str(base / "fixtures.jsonl")]
     return base / "fuzzed.jsonl", valid
 
 

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import pickle
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mtckit import grammar
+from mtckit import adherence, grammar
 from mtckit.grammar import (
     PARSE_CACHE_SIZE,
     SAME_TIME,
@@ -35,6 +37,7 @@ from mtckit.grammar import (
     serialize,
     with_negated,
 )
+from mtckit.icl import type_guides
 
 from conftest import random_mtc
 
@@ -281,6 +284,74 @@ def test_count_must_be_positive():
         Frequency(0, TimeUnit.DAY)
 
 
+# ----------------------------------------------------------- field checks
+
+
+def test_an_enum_field_given_as_its_string_becomes_the_member():
+    mtc = Frequency(3, "day")
+    assert mtc.unit is TimeUnit.DAY
+    assert mtc == Frequency(3, TimeUnit.DAY)
+    assert serialize(mtc) == "3 times day"
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [(lambda: Frequency(3, "fortnight"), "unit"), (lambda: TimeOfDay(OccurrencePrep.IN, "night"), "day_part")],
+    ids=["unit", "day_part"],
+)
+def test_a_string_naming_no_member_is_a_value_error_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Frequency(3, 7), "unit"),
+        (lambda: Frequency(3, TimeUnit.DAY, negated="yes"), "negated"),
+        (lambda: ImpreciseDependency(DependencyPrep.BEFORE, 5), "activity"),
+        (lambda: ImpreciseDependency(DependencyPrep.BEFORE, TimeUnit.DAY), "activity"),
+        (lambda: Frequency(True, TimeUnit.DAY), "n"),
+        (lambda: Interval("3", TimeUnit.HOUR, IntervalPrep.APART), "n"),
+        (lambda: Consistency(OccurrencePrep.AT, "9 am", TimeUnit.DAY), "time"),
+    ],
+    ids=["unit", "negated", "activity", "enum-activity", "bool-n", "str-n", "time"],
+)
+def test_a_field_of_the_wrong_type_is_a_type_error_naming_it(build, field):
+    with pytest.raises(TypeError, match=f"^{field} "):
+        build()
+
+
+def test_declarations_number_the_seven_types_once_and_their_examples_round_trip():
+    classes = typing.get_args(grammar.Mtc)
+    assert sorted(cls.TYPE for cls in classes) == list(range(1, 8))
+    assert len({cls.NAME for cls in classes}) == len(classes)
+    for cls in classes:
+        example = parse_mtc(cls.EXAMPLE)
+        assert type(example) is cls and mtc_type(example) == cls.TYPE
+        assert serialize(example) == cls.EXAMPLE
+        assert grammar.MTC_TYPE_NAMES[cls.TYPE] == cls.NAME
+        assert grammar.CANONICAL_FORMS[cls.TYPE] == (cls.FORM, cls.EXAMPLE)
+
+
+def test_every_table_keyed_by_type_holds_exactly_the_declared_types():
+    declared = {cls.TYPE for cls in typing.get_args(grammar.Mtc)}
+    assert set(adherence._CHECKS) == declared
+    assert set(type_guides()) == declared
+    assert {t: guide.name for t, guide in type_guides().items()} == grammar.MTC_TYPE_NAMES
+
+
+def test_mtc_to_dict_writes_enum_fields_and_time_stamps_as_text():
+    assert mtc_to_dict(parse_mtc("not at 9.30 am each week")) == {
+        "type": 6, "canonical": "not at 9.30 am each week", "p": "at", "time": "9.30 am", "unit": "week",
+        "negated": True,
+    }
+    assert mtc_to_dict(parse_mtc("2 hour before eating")) == {
+        "type": 1, "canonical": "2 hour before eating", "n": 2, "unit": "hour", "dp": "before",
+        "activity": "eating", "negated": False,
+    }
+
+
 @pytest.mark.parametrize("token", ["dozen", "many", "0", "-3", "3.5", "²", "٣", "1²"])
 @pytest.mark.parametrize("form", ["{} times day", "{} hour apart", "{} minute before eating"])
 def test_parse_rejects_a_count_that_is_not_a_positive_ascii_integer(token, form):
@@ -347,6 +418,13 @@ _mtcs = st.one_of(
     st.builds(Consistency, _ps, st.one_of(st.just(SAME_TIME), _clocks), _units),
     st.builds(TimeOfDay, _ps, st.sampled_from(list(DayPart))),
 ).flatmap(lambda m: st.booleans().map(lambda neg: with_negated(m, neg)))
+
+
+@given(_mtcs)
+def test_a_value_built_from_its_field_texts_is_the_same_value(mtc):
+    texts = {f.name: getattr(mtc, f.name) for f in dataclasses.fields(mtc)}
+    spelled = type(mtc)(**{name: v.value if isinstance(v, enum.Enum) else v for name, v in texts.items()})
+    assert spelled == mtc and serialize(spelled) == serialize(mtc)
 
 
 @given(_mtcs)
