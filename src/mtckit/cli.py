@@ -2,15 +2,17 @@
 
 One subcommand per pipeline stage: ``parse``, ``validate``, ``normalize``,
 ``dataset-stats``, ``extract-ehr``, ``rules-classify``, ``fewshot-select``,
-``extract``, ``eval``, ``adhere``. Every subcommand supports
-``--format json-lines`` for machine-readable, byte-stable output; progress
-and notes go to standard error only. ``extract`` and ``adhere`` also take
-``--config``, a JSON file whose ``http``, ``decoding`` and ``adherence``
-sections (:data:`CONFIG_KEYS`) set defaults that flags of the same name
-override; :func:`load_config` rejects an unknown key, a wrong type or an
-out-of-range value. Exit status is 0 on success, 1 on an operational error
-(bad input is reported as ``error: <where>: <reason>``, never a traceback),
-2 on a usage error.
+``extract``, ``eval``, ``adhere``. Each ``cmd_*`` yields ``(record, text)``
+pairs and :func:`main` alone writes them: the record as a JSON line under
+``--format json-lines`` (machine-readable, byte-stable), else the text,
+unless it is ``None``. ``extract-ehr``, ``fewshot-select`` and ``extract``
+also copy the JSON lines to ``--out``. Progress and notes go to standard
+error only. ``extract`` and ``adhere`` also take ``--config``, a JSON file
+whose ``http``, ``decoding`` and ``adherence`` sections (:data:`CONFIG_KEYS`)
+set defaults that flags of the same name override; :func:`load_config`
+rejects an unknown key, a wrong type or an out-of-range value. Exit status
+is 0 on success, 1 on an operational error (bad input is reported as
+``error: <where>: <reason>``, never a traceback), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from datetime import time, timedelta
+from itertools import chain
 from pathlib import Path
 
 from . import adherence, dataset, evaluation, grammar, normalize, rulebase, tables
@@ -33,10 +37,6 @@ from .icl import (
     iter_extract_corpus,
     select_fewshot,
 )
-
-
-def _emit(obj: dict, out=None) -> None:
-    print(json.dumps(obj, sort_keys=True), file=out or sys.stdout)
 
 
 def _note(message: str) -> None:
@@ -114,14 +114,21 @@ def _settings(args, config: dict, section: str) -> dict:
     return settings
 
 
-def cmd_parse(args) -> int:
-    mtc = grammar.parse_mtc(args.text)
-    record = grammar.mtc_to_dict(mtc)
-    if args.format == "json-lines":
-        _emit(record)
-    else:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    return 0
+def _flag(name: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError`` it raises names the flag ``name``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+#: As a record's text: text mode prints the record's JSON line, as json-lines mode does.
+_JSON_LINE = object()
+
+
+def cmd_parse(args):
+    record = grammar.mtc_to_dict(grammar.parse_mtc(args.text))
+    yield record, json.dumps(record, indent=2, sort_keys=True)
 
 
 def _read_lines(args) -> list[str]:
@@ -130,48 +137,31 @@ def _read_lines(args) -> list[str]:
     return tables.read_lines(args.file, str)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     lines = _read_lines(args)
     flags = [grammar.is_valid(line) for line in lines]
+    for line, valid in zip(lines, flags):
+        yield {"text": line, "valid": valid}, None
     rate = sum(flags) / len(flags) if flags else 1.0
-    if args.format == "json-lines":
-        for line, valid in zip(lines, flags):
-            _emit({"text": line, "valid": valid})
-        _emit({"validity_rate": rate})
-    else:
-        print(f"{rate:g}")
-    return 0
+    yield {"validity_rate": rate}, f"{rate:g}"
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args):
     for raw in _read_lines(args):
         result = normalize.normalize_raw_output(raw)
-        if args.format == "json-lines":
-            _emit(
-                {
-                    "raw": raw,
-                    "candidates": list(result.candidates),
-                    "dropped": [{"segment": d.segment, "reason": d.reason} for d in result.dropped],
-                }
-            )
-        else:
-            print("; ".join(result.candidates))
-    return 0
+        dropped = [{"segment": d.segment, "reason": d.reason} for d in result.dropped]
+        yield {"raw": raw, "candidates": list(result.candidates), "dropped": dropped}, "; ".join(result.candidates)
 
 
-def cmd_dataset_stats(args) -> int:
+def cmd_dataset_stats(args):
     stats = dataset.dataset_stats(dataset.load_dugs(args.file))
-    if args.format == "json-lines":
-        _emit(stats.to_dict())
-        return 0
-    print(f"guidelines: {stats.n_dugs}")
-    for source, count in sorted(stats.dugs_per_source.items()):
-        print(f"  {source}: {count}")
-    print(f"constraint instances: {stats.n_mtcs}")
+    lines = [f"guidelines: {stats.n_dugs}"]
+    lines += [f"  {source}: {count}" for source, count in sorted(stats.dugs_per_source.items())]
+    lines.append(f"constraint instances: {stats.n_mtcs}")
     for source, dist in sorted(stats.type_distribution.items()):
         shares = ", ".join(f"type {t}: {pct:.2f}%" for t, pct in sorted(dist.items()))
-        print(f"  {source}: {shares}")
-    return 0
+        lines.append(f"  {source}: {shares}")
+    yield stats.to_dict(), "\n".join(lines)
 
 
 def _read_report(path: str) -> str:
@@ -184,55 +174,34 @@ def _read_report(path: str) -> str:
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
-def cmd_extract_ehr(args) -> int:
+def cmd_extract_ehr(args):
     report_text = _read_report(args.file)
-    dugs = dataset.extract_ehr_statements(
-        report_text, min_tokens=args.min_tokens, max_tokens=args.max_tokens
-    )
-    if args.out:
-        dataset.dump_dugs(dugs, args.out)
-        _note(f"wrote {len(dugs)} statements to {args.out}")
-    for dug in dugs:
-        if args.format == "json-lines":
-            _emit(dug.to_dict())
-        else:
-            print(f"{dug.id}\t{'; '.join(dug.label_strings)}\t{dug.text}")
-    return 0
+    for dug in dataset.extract_ehr_statements(report_text, min_tokens=args.min_tokens, max_tokens=args.max_tokens):
+        yield dug.to_dict(), f"{dug.id}\t{'; '.join(dug.label_strings)}\t{dug.text}"
 
 
-def cmd_rules_classify(args) -> int:
+def cmd_rules_classify(args):
     dugs = dataset.load_dugs(args.file)
     rules = rulebase.load_type_rules(args.rules) if args.rules else rulebase.default_type_rules()
     preds = rulebase.classify_corpus(dugs, rules)
     for pred in preds:
-        if args.format == "json-lines":
-            _emit({"dug_id": pred.dug_id, "types": sorted(pred.types)})
-        else:
-            types = ",".join(str(t) for t in sorted(pred.types)) or "-"
-            print(f"{pred.dug_id}\t{types}")
+        types = sorted(pred.types)
+        yield {"dug_id": pred.dug_id, "types": types}, f"{pred.dug_id}\t{','.join(map(str, types)) or '-'}"
     if args.eval:
         report = rulebase.evaluate_type_classifier(dugs, preds)
-        if args.format == "json-lines":
-            _emit(report.to_dict())
-        else:
-            rows = [(f"type {t}", m, f"  support {m.support}") for t, m in sorted(report.per_type.items())]
-            for name, s, note in rows + [("macro", report.macro, "")]:
-                print(f"{name}: precision {s.precision:.3f}  recall {s.recall:.3f}  f1 {s.f1:.3f}{note}")
-    return 0
+        rows = [(f"type {t}", m, f"  support {m.support}") for t, m in sorted(report.per_type.items())]
+        yield report.to_dict(), "\n".join(
+            f"{name}: precision {s.precision:.3f}  recall {s.recall:.3f}  f1 {s.f1:.3f}{note}"
+            for name, s, note in rows + [("macro", report.macro, "")]
+        )
 
 
-def cmd_fewshot_select(args) -> int:
-    pool = dataset.load_dugs(args.file)
-    fewshot = select_fewshot(pool, k=args.k, seed=args.seed)
+def cmd_fewshot_select(args):
+    fewshot = select_fewshot(dataset.load_dugs(args.file), k=args.k, seed=args.seed)
     if fewshot.gaps:
         _note(f"pool lacks strata: {', '.join(fewshot.gaps)}")
-    lines = [json.dumps(pair.to_dict(), sort_keys=True) for pair in fewshot.pairs]
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _note(f"wrote {len(lines)} few-shot examples to {args.out}")
-    for line in lines:
-        print(line)
-    return 0
+    for pair in fewshot.pairs:
+        yield pair.to_dict(), _JSON_LINE
 
 
 def _build_client(args, config: dict):
@@ -255,55 +224,37 @@ def _type_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated type numbers, got {text!r}") from None
 
 
-def cmd_extract(args) -> int:
-    try:
-        strategy = PromptStrategy(args.strategy, args.types)
-    except ValueError as exc:
-        raise ValueError(f"--types: {exc}") from None
+def cmd_extract(args):
+    strategy = _flag("--types", PromptStrategy, args.strategy, args.types)
     config = load_config(args.config)
     client = _build_client(args, config)
     dugs = dataset.load_dugs(args.file)
     fewshot = fewshot_from_dugs(dataset.load_dugs(args.fewshot))
     kept = exclude_fewshot(dugs, fewshot)
+    decoding = _settings(args, config, "decoding")
+    records = _flag("--parallelism", iter_extract_corpus, kept, strategy, fewshot, client, args.parallelism,
+                    **decoding)
     if len(kept) != len(dugs):
         _note(f"excluded {len(dugs) - len(kept)} few-shot guideline(s) from extraction")
-    records = iter_extract_corpus(
-        kept, strategy, fewshot, client, parallelism=args.parallelism, **_settings(args, config, "decoding")
-    )
-    out_fp = open(args.out, "w", encoding="utf-8") if args.out else None
     failures = 0
-    try:
-        for record in records:
-            if record.failed:
-                failures += 1
-            line = json.dumps(record.to_dict(), sort_keys=True)
-            print(line)
-            if out_fp:
-                out_fp.write(line + "\n")
-    finally:
-        if out_fp:
-            out_fp.close()
+    for record in records:
+        failures += record.failed
+        yield record.to_dict(), _JSON_LINE
     if failures:
         _note(f"{failures} record(s) marked failed after retries")
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     gold = dataset.load_dugs(args.gold)
     try:
         report = evaluation.evaluate(gold, evaluation.load_predictions(args.pred))
     except evaluation.MismatchedIdsError as exc:
         raise ValueError(f"{args.pred}: {exc}") from None
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        _note(f"wrote report to {args.out}")
-    if args.format == "json-lines":
-        _emit(report.to_dict())
-    else:
-        print(report.format_table())
-    return 0
+    record = report.to_dict()
+    if args.report:
+        Path(args.report).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _note(f"wrote report to {args.report}")
+    yield record, report.format_table()
 
 
 def _tolerances(args, config: dict) -> adherence.ToleranceConfig:
@@ -311,12 +262,12 @@ def _tolerances(args, config: dict) -> adherence.ToleranceConfig:
     return adherence.ToleranceConfig(**{key.removesuffix("_min"): value for key, value in settings.items()})
 
 
-def cmd_adhere(args) -> int:
+def cmd_adhere(args):
     config = load_config(args.config)
     mtc = grammar.parse_mtc(args.mtc)
     window = (
-        adherence.parse_timestamp(args.window_start) if args.window_start else None,
-        adherence.parse_timestamp(args.window_end) if args.window_end else None,
+        _flag("--window-start", adherence.parse_timestamp, args.window_start) if args.window_start else None,
+        _flag("--window-end", adherence.parse_timestamp, args.window_end) if args.window_end else None,
     )
     try:
         timeline = adherence.load_timeline(args.timeline, window)
@@ -326,23 +277,12 @@ def cmd_adhere(args) -> int:
         # An open bound defaults to the span of the file's events, so the file is named.
         raise ValueError(f"{args.timeline}: {exc}; give --window-start and --window-end") from None
     verdict = adherence.check(mtc, timeline, _tolerances(args, config))
-    if args.format == "json-lines":
-        _emit(
-            {
-                "mtc": grammar.serialize(mtc),
-                "status": verdict.status.value,
-                "explanation": verdict.explanation,
-            }
-        )
-    else:
-        print(f"{verdict.status.value}: {verdict.explanation}")
-    return 0
+    record = {"mtc": grammar.serialize(mtc), "status": verdict.status.value, "explanation": verdict.explanation}
+    yield record, f"{verdict.status.value}: {verdict.explanation}"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mtc", description="Medical temporal constraint toolkit"
-    )
+    parser = argparse.ArgumentParser(prog="mtc", description="Medical temporal constraint toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("parse", help="parse one constraint string")
@@ -369,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="plain-text report")
     p.add_argument("--min-tokens", type=int, default=4)
     p.add_argument("--max-tokens", type=int, default=60)
-    p.add_argument("--out", help="also write the statements as a corpus file")
     p.set_defaults(func=cmd_extract_ehr)
 
     p = subs.add_parser("rules-classify", help="phrase-pattern constraint-type baseline")
@@ -382,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="pool corpus file (JSON lines)")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="also write the selection to a file")
     p.set_defaults(func=cmd_fewshot_select)
 
     p = subs.add_parser("extract", help="run a prompting strategy over a corpus")
@@ -399,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--out", help="also write records to a file")
     p.add_argument("--config", help="JSON config file (http, decoding sections)")
     p.set_defaults(func=cmd_extract)
 
     p = subs.add_parser("eval", help="score extraction records against gold")
     p.add_argument("--gold", required=True, help="gold corpus file (JSON lines)")
     p.add_argument("--pred", required=True, help="extraction records file (JSON lines)")
-    p.add_argument("--out", help="write the machine-readable report to a file")
+    # Not a copy of the output lines, so not ``out`` (see main).
+    p.add_argument("--out", dest="report", help="write the machine-readable report to a file")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("adhere", help="check one constraint against an event timeline")
@@ -420,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (adherence section)")
     p.set_defaults(func=cmd_adhere)
 
+    for name in ("extract-ehr", "fewshot-select", "extract"):
+        subs.choices[name].add_argument("--out", help="also write the JSON lines to a file")
     for sub in subs.choices.values():
         sub.add_argument("--format", choices=("text", "json-lines"), default="text",
                          help="output format (json-lines is machine-readable and byte-stable)")
@@ -427,15 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and write each record it yields as its JSON line or its
+    text (``--format``), and its JSON line to ``--out``. That file is opened at the
+    first record, or at the end, so a failure before the first leaves it untouched."""
     args = build_parser().parse_args(argv)
+    json_lines, out_path = args.format == "json-lines", getattr(args, "out", None)
     try:
-        return args.func(args)
+        results = args.func(args)
+        first = next(results, None)
+        count = 0
+        with open(out_path, "w", encoding="utf-8") if out_path else nullcontext() as out:
+            for count, (record, text) in enumerate(chain([first], results) if first else (), 1):
+                line = json.dumps(record, sort_keys=True)
+                if json_lines or text is _JSON_LINE:
+                    print(line)
+                elif text is not None:
+                    print(text)
+                if out:
+                    out.write(line + "\n")
+        if out_path:
+            _note(f"wrote {count} record(s) to {out_path}")
     except NonvalidMtcError as exc:
         print(f"nonvalid: {exc.reason}", file=sys.stderr)
         return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -84,13 +84,18 @@ SAME_TIME = SameTime()
 
 @dataclass(frozen=True)
 class ClockTime:
-    """A 12-hour clock time such as ``9 am`` or ``10.30 pm``."""
+    """A 12-hour clock time such as ``9 am`` or ``10.30 pm``. An ``hour`` or
+    ``minute`` that is not a plain ``int`` (a ``bool`` or a ``float`` would
+    render as another time) raises ``TypeError``."""
 
     hour: int
     minute: int = 0
     meridiem: str = "am"
 
     def __post_init__(self) -> None:
+        for name, value in (("hour", self.hour), ("minute", self.minute)):
+            if type(value) is not int:
+                raise TypeError(f"clock {name} must be an int, got {type(value).__name__}")
         if not 1 <= self.hour <= 12:
             raise ValueError(f"clock hour must be 1..12, got {self.hour}")
         if not 0 <= self.minute <= 59:

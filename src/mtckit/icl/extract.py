@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .. import grammar
 from ..dataset import Dug
@@ -97,11 +97,11 @@ def extract(
     Simple and guided strategies issue one completion call; specialized
     issues one call per included type and merges the per-type results.
     Every request carries ``temperature`` and ``max_tokens``; the model is
-    the client's. Raises :class:`FewShotLeakageError` if ``dug`` is a
-    few-shot example.
+    the client's. Raises :class:`FewShotLeakageError`, before any call, if
+    ``dug`` has the id or the text of a few-shot example.
     """
-    if dug.id in fewshot.ids:
-        raise FewShotLeakageError(f"guideline {dug.id!r} is in the few-shot set")
+    if dug in fewshot:
+        raise FewShotLeakageError(f"guideline {dug.id!r} is in the few-shot set by id or text")
     template = default_template(strategy.kind)
 
     probe_types: tuple[int | None, ...] = strategy.types if strategy.kind == "specialized" else (None,)
@@ -166,13 +166,20 @@ def iter_extract_corpus(
     ``2 * parallelism`` guidelines are taken from ``dugs`` ahead of the
     records yielded so far, so output can be streamed without holding a
     whole corpus in memory. Closing the iterator cancels the guidelines
-    not yet started.
+    not yet started. A ``parallelism`` below 1 raises ``ValueError``, and one
+    that is not an ``int`` (a ``bool`` included) ``TypeError``, at the call.
     """
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int):
+        raise TypeError(f"parallelism must be an integer, got {type(parallelism).__name__}")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
+    return _iter_records(dugs, parallelism, lambda dug: extract(dug, strategy, fewshot, client, **request_options))
 
-    def worker(dug: Dug) -> ExtractionRecord:
-        return extract(dug, strategy, fewshot, client, **request_options)
 
-    if parallelism <= 1:
+def _iter_records(
+    dugs: Iterable[Dug], parallelism: int, worker: Callable[[Dug], ExtractionRecord]
+) -> Iterator[ExtractionRecord]:
+    if parallelism == 1:
         for dug in dugs:
             yield worker(dug)
         return

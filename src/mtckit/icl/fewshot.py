@@ -76,9 +76,11 @@ _PREFIXES = "_prefixes"
 class FewShotSet:
     """The fixed example set shown in every prompt.
 
-    Sets compare and hash by their pairs. The guideline ``ids`` guard every
-    extraction and ``gaps`` names the paired strata no pair covers; both are
-    settled once, at construction.
+    Sets compare and hash by their pairs. A guideline is in a set (``dug in
+    fewshot``) when it has the id or the text of one of its examples, kept in
+    ``ids`` and ``texts``: such a guideline is barred from extraction, since its
+    query would repeat an example. ``gaps`` names the paired strata no pair
+    covers. All three are settled once, at construction.
     :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
     renders for a set in that set's ``__dict__``, so they live exactly as
     long as the set. A pickled set leaves them out: they are rendered from
@@ -88,17 +90,22 @@ class FewShotSet:
     pairs: tuple[FewShotPair, ...]
     gaps: tuple[str, ...] = field(init=False, compare=False)
     ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    texts: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         covered = set().union(*(pair.coverage.strata() for pair in self.pairs))
         object.__setattr__(self, "gaps", tuple(s for s in _PAIRED_STRATA if s not in covered))
         object.__setattr__(self, "ids", frozenset(pair.dug.id for pair in self.pairs))
+        object.__setattr__(self, "texts", frozenset(pair.dug.text for pair in self.pairs))
 
     def __getstate__(self) -> dict:
         return {key: value for key, value in self.__dict__.items() if key != _PREFIXES}
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def __contains__(self, dug: Dug) -> bool:
+        return dug.id in self.ids or dug.text in self.texts
 
 
 def gold_answer(dug: Dug, mtc_type_filter: int | None = None) -> str:
@@ -172,5 +179,6 @@ def select_fewshot(pool: Sequence[Dug], k: int = 20, seed: int = 0) -> FewShotSe
 
 
 def exclude_fewshot(dugs: Sequence[Dug], fewshot: FewShotSet) -> list[Dug]:
-    """Evaluation split: the corpus minus the few-shot examples."""
-    return [dug for dug in dugs if dug.id not in fewshot.ids]
+    """Evaluation split: the corpus minus the guidelines in the few-shot set,
+    by id or by text."""
+    return [dug for dug in dugs if dug not in fewshot]

@@ -24,7 +24,9 @@ from mtckit.icl import (
     prompt_fingerprint,
 )
 
+import replay_scenario
 from conftest import make_dug, stratified_pool
+from test_acceptance import CRITERION7_REPORT, GOLDEN
 
 
 def run(capsys, argv):
@@ -256,6 +258,132 @@ def test_extract_bad_specialized_types_exit_one_naming_the_flag(tmp_path, pool, 
     assert out == ""
 
 
+def test_extract_excludes_a_text_twin_of_a_fewshot_example(tmp_path, capsys):
+    corpus, fewshot_file = tmp_path / "corpus.jsonl", tmp_path / "fewshot.jsonl"
+    query, twin = make_dug("q0", "Take with food.", []), make_dug("q1", "Take twice daily.", [])
+    dataset.dump_dugs([query, twin], corpus)
+    example = make_dug("f1", "Take twice daily.", ["2 times day"])
+    dataset.dump_dugs([example], fewshot_file)
+    fixtures = tmp_path / "fixtures.jsonl"
+    client, fewshot = ReplayClient(fixtures), fewshot_from_dugs([example])
+    for strategy in ("simple", "guided"):
+        client.store(build_prompt(default_template(strategy), fewshot, query), "NONE")
+    for strategy in ("simple", "guided", "specialized"):
+        code, out, err = run(capsys, [
+            "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", strategy,
+            "--client", "replay", "--fixtures", str(fixtures),
+        ])
+        assert code == 0
+        assert "excluded 1 few-shot guideline(s) from extraction" in err
+        assert [json.loads(line)["dug_id"] for line in out.splitlines()] == ["q0"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_extract_parallelism_below_one_exits_one_naming_the_flag(tmp_path, pool, capsys, value):
+    corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
+    code, out, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "simple",
+        "--client", "replay", "--fixtures", str(fixtures), "--parallelism", value,
+    ])
+    assert code == 1 and out == ""
+    assert err == f"error: --parallelism: parallelism must be at least 1, got {value}\n"
+
+
+def _out_commands(tmp_path, pool):
+    """argv of each subcommand that copies its JSON lines to ``--out``, without it."""
+    corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
+    report = tmp_path / "report.txt"
+    report.write_text("Currently on Plaquenil 200-mg b.i.d. Effexor 25 mg two tablets h.s. was continued.",
+                      encoding="utf-8")
+    return {
+        "extract-ehr": ["extract-ehr", "--file", str(report)],
+        "fewshot-select": ["fewshot-select", "--file", str(corpus), "--k", "8"],
+        "extract": ["extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "simple",
+                    "--client", "replay", "--fixtures", str(fixtures)],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract-ehr", "fewshot-select", "extract"])
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_out_holds_the_json_lines_in_either_format(tmp_path, pool, capsys, command, fmt):
+    argv = _out_commands(tmp_path, pool)[command]
+    _, json_lines, _ = run(capsys, [*argv, "--format", "json-lines"])
+    out_file = tmp_path / "out.jsonl"
+    code, out, err = run(capsys, [*argv, "--format", fmt, "--out", str(out_file)])
+    assert code == 0 and json_lines
+    assert out_file.read_text(encoding="utf-8") == json_lines
+    assert out == json_lines or fmt == "text"
+    assert err.endswith(f"wrote {len(json_lines.splitlines())} record(s) to {out_file}\n")
+
+
+@pytest.mark.parametrize(
+    ("command", "bad"),
+    [("extract-ehr", ["--file", "/nonexistent/report.txt"]), ("fewshot-select", ["--k", "0"]),
+     ("extract", ["--types", "2"]), ("extract", ["--parallelism", "0"]),
+     ("extract", ["--fixtures", "/nonexistent/fixtures.jsonl"])],
+)
+def test_a_failure_before_the_first_record_leaves_out_untouched(tmp_path, pool, capsys, command, bad):
+    out_file = tmp_path / "out.jsonl"
+    out_file.write_text("earlier run\n", encoding="utf-8")
+    code, out, _ = run(capsys, [*_out_commands(tmp_path, pool)[command], *bad, "--out", str(out_file)])
+    assert code == 1 and out == ""
+    assert out_file.read_text(encoding="utf-8") == "earlier run\n"
+
+
+def test_out_of_a_run_without_records_is_empty(tmp_path, capsys):
+    report, out_file = tmp_path / "report.txt", tmp_path / "out.jsonl"
+    report.write_text("No abbreviation here.", encoding="utf-8")
+    out_file.write_text("earlier run\n", encoding="utf-8")
+    code, out, err = run(capsys, ["extract-ehr", "--file", str(report), "--out", str(out_file)])
+    assert code == 0 and out == ""
+    assert out_file.read_bytes() == b""
+    assert err == f"wrote 0 record(s) to {out_file}\n"
+
+
+def test_extract_prints_each_record_before_the_next_is_made(tmp_path, pool, monkeypatch):
+    argv = _out_commands(tmp_path, pool)["extract"]
+    stdout, printed = io.StringIO(), []
+    real = cli.iter_extract_corpus
+
+    def spy(*args, **kwargs):
+        for record in real(*args, **kwargs):
+            printed.append(stdout.getvalue().count("\n"))
+            yield record
+
+    monkeypatch.setattr(cli, "iter_extract_corpus", spy)
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert cli.main([*argv, "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert printed == list(range(len(pool) - 4))
+
+
+def test_readme_quickstart_selects_extracts_and_scores(tmp_path, capsys):
+    """fewshot-select over a pool, extract over a corpus apart from it, eval of that corpus."""
+    pool, corpus = tmp_path / "pool.jsonl", tmp_path / "corpus.jsonl"
+    dataset.dump_dugs(stratified_pool(), pool)
+    gold = replay_scenario.build_corpus()
+    dataset.dump_dugs(gold, corpus)
+    fewshot_file = tmp_path / "fewshot.jsonl"
+    assert run(capsys, ["fewshot-select", "--file", str(pool), "--k", "8", "--out", str(fewshot_file)])[0] == 0
+    # Fixtures recorded for the prompts of the selected examples.
+    fewshot = fewshot_from_dugs(dataset.load_dugs(fewshot_file))
+    fixtures = tmp_path / "fixtures.jsonl"
+    client, template = ReplayClient(fixtures), default_template("specialized")
+    for i, dug in enumerate(gold):
+        for t in (1, 2, 3, 4, 6, 7):
+            client.store(build_prompt(template, fewshot, dug, mtc_type=t), replay_scenario.canned_response(i, t, dug))
+    pred, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
+    code, _, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "specialized",
+        "--client", "replay", "--fixtures", str(fixtures), "--out", str(pred),
+    ])
+    assert code == 0 and "excluded" not in err
+    code, _, err = run(capsys, ["eval", "--gold", str(corpus), "--pred", str(pred), "--out", str(report)])
+    assert code == 0, err
+    # The records and report do not depend on which examples the prompts showed.
+    assert pred.read_bytes() == (GOLDEN / "criterion7_predictions.jsonl").read_bytes()
+    assert report.read_bytes() == (GOLDEN / CRITERION7_REPORT).read_bytes()
+
+
 def test_eval_text_table(tmp_path, pool, capsys):
     gold = tmp_path / "gold.jsonl"
     dataset.dump_dugs(pool[:3], gold)
@@ -302,6 +430,23 @@ def test_adhere_window_without_timezone_exits_one(tmp_path, capsys, flag):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "has no timezone" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+@pytest.mark.parametrize(
+    ("value", "reason"),
+    [("bogus", "Invalid isoformat string: 'bogus'"),
+     ("2026-03-02T00:00:00", "timestamp '2026-03-02T00:00:00' has no timezone")],
+)
+def test_adhere_bad_window_bound_exits_one_naming_the_flag(tmp_path, capsys, flag, value, reason):
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        json.dumps({"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00+00:00"}),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["adhere", "--mtc", "2 times day", "--timeline", str(events), flag, value])
+    assert code == 1 and out == ""
+    assert err == f"error: {flag}: {reason}\n"
 
 
 def test_adhere_malformed_timeline_exits_one(tmp_path, capsys):

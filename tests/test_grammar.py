@@ -249,6 +249,16 @@ def test_serialize_clock_minutes_zero_padded():
     assert serialize(TimeDependency(DependencyPrep.AFTER, ClockTime(10, 5, "pm"))) == "after 10.05 pm"
 
 
+@pytest.mark.parametrize(
+    ("args", "field", "kind"),
+    [((9.5,), "hour", "float"), ((True,), "hour", "bool"), (("9",), "hour", "str"),
+     ((9, 5.0), "minute", "float"), ((9, False), "minute", "bool")],
+)
+def test_clock_time_refuses_a_field_that_is_not_an_int(args, field, kind):
+    with pytest.raises(TypeError, match=f"^clock {field} must be an int, got {kind}$"):
+        ClockTime(*args)
+
+
 def test_time_dependency_requires_clock_time():
     with pytest.raises(ValueError):
         TimeDependency(DependencyPrep.BEFORE, SAME_TIME)

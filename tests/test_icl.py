@@ -785,6 +785,32 @@ def test_extract_refuses_fewshot_members(tmp_path, pool):
         extract(member, PromptStrategy.simple(), fewshot, ReplayClient(tmp_path / "fixtures.jsonl"))
 
 
+class _RefusingClient:
+    def complete(self, request):
+        raise AssertionError("no call may be made")
+
+
+def test_a_text_twin_of_an_example_is_in_the_set_excluded_and_refused(pool):
+    fewshot = fewshot_from_dugs([make_dug("f1", "Take twice daily.", ["2 times day"])])
+    query, twin = make_dug("q0", "Take with food.", []), make_dug("q1", "Take twice daily.", [])
+    assert fewshot.texts == {"Take twice daily."}
+    assert twin in fewshot and query not in fewshot
+    assert exclude_fewshot([query, twin], fewshot) == [query]
+    for strategy in (PromptStrategy.simple(), PromptStrategy.guided(), PromptStrategy.specialized()):
+        with pytest.raises(FewShotLeakageError, match="'q1'"):
+            extract(twin, strategy, fewshot, _RefusingClient())
+
+
+@pytest.mark.parametrize(
+    ("parallelism", "error"),
+    [(0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError), ("2", TypeError)],
+)
+def test_extract_corpus_refuses_a_bad_parallelism_at_the_call(pool, parallelism, error):
+    fewshot = _fewshot(pool)
+    with pytest.raises(error, match="parallelism must be"):
+        iter_extract_corpus([], PromptStrategy.simple(), fewshot, _RefusingClient(), parallelism)
+
+
 def test_extract_marks_failure_without_fabricating(tmp_path, pool):
     fewshot = _fewshot(pool)
     dug = make_dug("q5", "Take with food as directed.", [])
