@@ -29,11 +29,23 @@ measured around the 24-hour dial; ``the same time each day`` bounds the
 spread of the intakes' clock times, and ``the same time each week`` the
 spread of their weekday-and-clock times.
 
-Every timeline is sorted and clipped when built, so a check sorts nothing:
-it bisects the timestamps per intake or per period, O(n log m) for n intakes
-and m matching events. Events at one instant sort by UTC offset, kind, then
-name, and intakes are walked in timeline order, so the first violating
-intake named depends neither on the input order nor on the search.
+Three boundaries, each pinned by a test:
+
+* an ``apart`` gap equal to its bound is satisfied (at least the bound),
+  and so is a ``within`` gap equal to its bound (at most the bound);
+* ``before`` and ``after`` a clock time are strict, so an intake at exactly
+  09:00 violates both ``before 9 am`` and ``after 9 am``;
+* a day-part window is half-open, ``[start, end)``: an intake at exactly its
+  start is inside it, and one at exactly its end is outside.
+
+Every timeline is sorted, clipped and indexed when built: it keeps its
+intakes, and each activity name's events, in timeline order. So a check
+reads only the n intakes and the m events of the activity it names, and
+sorts nothing: it lists their timestamps, O(n + m), and bisects them per
+intake or per period, O(n log m) (a frequency check, O(p log n) over p
+periods). Events at one instant sort by UTC offset, kind, then name, and
+intakes are walked in timeline order, so the first violating intake named
+depends neither on the input order nor on the search.
 """
 
 from __future__ import annotations
@@ -147,7 +159,9 @@ class Timeline:
 
     Each event is keyed once by its exact instant and the window is found by
     bisection, so events in several UTC offsets build as fast as events in
-    one. An open window bound defaults to the events' span. Raises
+    one. The intakes and each activity name's events are indexed in the same
+    build, so :meth:`intakes` and :meth:`activities` scan nothing. An open
+    window bound defaults to the events' span. Raises
     ``ValueError`` for a bound without a timezone, a start after the end, or
     no events and an open bound.
     """
@@ -166,8 +180,18 @@ class Timeline:
         if earliest > latest:
             raise ValueError("window start is after window end")
         first = bisect_left(ordered, earliest, key=_instant)
-        object.__setattr__(self, "events", tuple(ordered[first:bisect_right(ordered, latest, key=_instant)]))
+        events = tuple(ordered[first:bisect_right(ordered, latest, key=_instant)])
+        object.__setattr__(self, "events", events)
         object.__setattr__(self, "window", (start, end))
+        # The index: attributes, not fields, so ==, hash and repr ignore them.
+        intakes, by_name = [], {}
+        for event in events:
+            if event.kind == "intake":
+                intakes.append(event)
+            else:
+                by_name.setdefault(event.name, []).append(event)
+        object.__setattr__(self, "_intakes", tuple(intakes))
+        object.__setattr__(self, "_by_name", {name: tuple(group) for name, group in by_name.items()})
 
     @classmethod
     def build(cls, events: Iterable[TimelineEvent], window: Window = (None, None)) -> "Timeline":
@@ -175,11 +199,10 @@ class Timeline:
         return cls(tuple(events), window)
 
     def intakes(self) -> tuple[TimelineEvent, ...]:
-        return tuple(e for e in self.events if e.kind == "intake")
+        return self._intakes
 
     def activities(self, name: str) -> tuple[TimelineEvent, ...]:
-        wanted = normalize_activity(name)
-        return tuple(e for e in self.events if e.kind == "activity" and e.name == wanted)
+        return self._by_name.get(normalize_activity(name), ())
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -25,10 +25,10 @@ recall 0; a guideline where both gold and prediction are empty scores 1.0
 on example metrics; an average over an empty collection is 1.0 (there was
 nothing to get wrong).
 
-Scoring walks the guidelines once, counting labels and example scores as
-it goes (:class:`LabelTally`), and tests label-space membership in a set,
-so its cost grows with guidelines plus labels, not their product, and it
-keeps no per-guideline label sets.
+Scoring walks the guidelines once, counting labels (:class:`LabelTally`)
+and scoring each guideline as it goes, and tests label-space membership in
+a set, so its cost grows with guidelines plus labels, not their product,
+and it keeps no per-guideline label sets.
 Prediction files are read by :func:`load_predictions`, naming each bad line.
 """
 
@@ -218,12 +218,10 @@ class LabelTally:
         self.support: Counter = Counter()
         self.predicted: Counter = Counter()
         self.tp: Counter = Counter()
-        self._rows: dict[tuple[int, int, int], Scores] = {}
 
-    def add(self, gold: Set, pred: Set) -> Scores:
-        """Count one guideline's gold and predicted label sets; returns its example
-        scores, which score it as one label would and are 1.0 when both are empty.
-        Guidelines with the same counts share one scores value."""
+    def add(self, gold: Set, pred: Set) -> int:
+        """Count one guideline's gold and predicted label sets; returns how many
+        labels both hold."""
         hits = gold & pred
         # Label by label: a guideline holds a few labels, and Counter.update
         # costs more per call than these loops.
@@ -233,13 +231,7 @@ class LabelTally:
             self.predicted[label] += 1
         for label in hits:
             self.tp[label] += 1
-        if not (gold or pred):
-            return _VACUOUS
-        counts = (len(hits), len(pred) - len(hits), len(gold) - len(hits))
-        row = self._rows.get(counts)
-        if row is None:
-            row = self._rows[counts] = _prf(*counts)
-        return row
+        return len(hits)
 
     def per_label(self, labels: Iterable) -> dict:
         """``{label: LabelMetrics}`` over the guidelines added so far.
@@ -325,6 +317,9 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
     distinct = dict.fromkeys(text for pair in by_id.values() for texts in pair for text in texts)
     canonical = {text: _canonical(text) for text in distinct}  # one parse for validity and label
     tally = LabelTally()
+    # Example scores by (tp, fp, fn), shared by guidelines with equal counts;
+    # both sets empty scores 1.0, not the 0.0 of _prf.
+    rows: dict[tuple[int, int, int], Scores] = {(0, 0, 0): _VACUOUS}
     example_rows: list[Scores] = []
     positive_rows: list[Scores] = []
     n_candidates = 0
@@ -339,7 +334,10 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         gold_set = set(dug.label_strings)
         if not gold_set <= gold_space:
             raise ValueError(f"gold labels of {dug.id!r} missing from label space")
-        row = tally.add(gold_set, set(mapped))
+        pred_set = set(mapped)
+        hits = tally.add(gold_set, pred_set)
+        counts = (hits, len(pred_set) - hits, len(gold_set) - hits)
+        row = rows.get(counts) or rows.setdefault(counts, _prf(*counts))
         example_rows.append(row)
         if gold_set:
             positive_rows.append(row)

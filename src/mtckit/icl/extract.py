@@ -6,7 +6,8 @@ normalized candidate strings with their validity verdicts, and the parsed,
 deduplicated constraints. Specialized answers of the wrong type are
 dropped from the forwarded predictions but kept flagged, so per-type
 precision stays meaningful while nothing is lost for audit. A failed
-service call marks the record failed; results are never fabricated.
+service call, or a prompt that does not render (:class:`PromptBuildError`),
+marks the record failed; results are never fabricated.
 
 :func:`iter_extract_corpus` is the one corpus entry point, and every
 prompt renders the template shipped for the strategy kind.
@@ -23,7 +24,7 @@ from ..dataset import Dug
 from ..normalize import normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
-from .prompts import PromptStrategy, build_prompt, default_template
+from .prompts import PromptBuildError, PromptStrategy, build_prompt, default_template
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -108,7 +109,11 @@ def extract(
     raw_outputs: list[RawCall] = []
     error: str | None = None
     for probe in probe_types:
-        prompt = build_prompt(template, fewshot, dug, mtc_type=probe)
+        try:
+            prompt = build_prompt(template, fewshot, dug, mtc_type=probe)
+        except PromptBuildError as exc:  # a few-shot text that holds this guideline's query block
+            error = f"{type(exc).__name__}: {exc}"
+            break
         request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens)
         try:
             response = client.complete(request)

@@ -1,4 +1,9 @@
-"""Shared fixtures and generators for the test suite."""
+"""Shared generators for the test suite; its fixtures live in ``_fixtures``.
+
+The benchmark imports this module too, so it imports no ``pytest``: a
+fresh interpreter that imports it loads only ``mtckit`` and the standard
+library (``tests/test_conftest.py`` checks this).
+"""
 
 from __future__ import annotations
 
@@ -7,11 +12,11 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-import pytest
+from mtckit import Dug, adherence, grammar
 
-from mtckit import Dug, adherence, dump_dugs, grammar
+sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` and `_fixtures` importable
 
-sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
+pytest_plugins = ["_fixtures"]
 
 
 def make_dug(dug_id: str, text: str, labels: list[str], source: str = "fda") -> Dug:
@@ -40,18 +45,6 @@ def stratified_pool() -> list[Dug]:
         make_dug("p11", "Currently on Plaquenil 200-mg b.i.d.", ["2 times day"], "ehr"),
         make_dug("p12", "Take 1 times day with breakfast.", ["1 times day"], "ehr"),
     ]
-
-
-@pytest.fixture
-def pool() -> list[Dug]:
-    return stratified_pool()
-
-
-@pytest.fixture
-def corpus_path(tmp_path, pool) -> Path:
-    path = tmp_path / "corpus.jsonl"
-    dump_dugs(pool, path)
-    return path
 
 
 # ---------------------------------------------------------------- generators

@@ -7,6 +7,7 @@ import pickle
 import random
 import time
 import zoneinfo
+from dataclasses import fields
 from datetime import datetime, time as dt_time, timedelta, timezone, tzinfo
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mtckit import grammar
 from mtckit.adherence import (
     DEFAULT_TOLERANCES,
+    EVENT_KINDS,
     Timeline,
     TimelineEvent,
     ToleranceConfig,
@@ -23,6 +25,7 @@ from mtckit.adherence import (
     load_timeline,
 )
 from mtckit.grammar import DayPart, mtc_type, parse_mtc, with_negated
+from mtckit.normalize import normalize_activity
 
 from conftest import BASE_TS, random_mtc, random_timeline
 from oracles import oracle_check
@@ -105,6 +108,11 @@ def test_interval_apart_satisfied_and_within():
     assert check(parse_mtc("6 hour apart"), line).status is VerdictStatus.SATISFIED
     assert check(parse_mtc("12 hour within"), line).status is VerdictStatus.SATISFIED
     assert check(parse_mtc("4 hour within"), line).status is VerdictStatus.VIOLATED
+    # a gap equal to the bound is at least and at most the bound
+    assert check(parse_mtc("8 hour apart"), line).status is VerdictStatus.SATISFIED
+    assert check(parse_mtc("8 hour within"), line).status is VerdictStatus.SATISFIED
+    assert check(parse_mtc("481 minute apart"), line).status is VerdictStatus.VIOLATED
+    assert check(parse_mtc("479 minute within"), line).status is VerdictStatus.VIOLATED
 
 
 def test_interval_for_and_single_intake_indeterminate():
@@ -197,6 +205,11 @@ def test_time_dependency_strict():
     assert check(mtc, early).status is VerdictStatus.SATISFIED
     exact = timeline([intake(0, 9, 0)], start=ts(0, 0), end=ts(1, 0))
     assert check(mtc, exact).status is VerdictStatus.VIOLATED  # strictly before
+    verdict = check(parse_mtc("after 9 am"), exact)
+    assert verdict.status is VerdictStatus.VIOLATED  # strictly after
+    assert verdict.explanation == f"intake 'medication' at {ts(0, 9).isoformat()} is not strictly after 9 am"
+    late = timeline([intake(0, 9, 1)], start=ts(0, 0), end=ts(1, 0))
+    assert check(parse_mtc("after 9 am"), late).status is VerdictStatus.SATISFIED
 
 
 def test_consistency_single_intake_is_trivially_consistent():
@@ -243,6 +256,12 @@ def test_time_of_day_windows():
     assert check(evening, timeline([intake(0, 22, 0)], start=ts(0, 0), end=ts(1, 0))).status is VerdictStatus.VIOLATED
     noon = parse_mtc("at noon")
     assert check(noon, timeline([intake(0, 12, 30)], start=ts(0, 0), end=ts(1, 0))).status is VerdictStatus.SATISFIED
+    # half-open: a window's start is inside it
+    for mtc, hour in ((morning, 5), (noon, 11), (evening, 17)):
+        at_start = timeline([intake(0, hour)], start=ts(0, 0), end=ts(1, 0))
+        assert check(mtc, at_start).status is VerdictStatus.SATISFIED, mtc
+        just_before = timeline([intake(0, hour - 1, 59)], start=ts(0, 0), end=ts(1, 0))
+        assert check(mtc, just_before).status is VerdictStatus.VIOLATED, mtc
 
 
 # ------------------------------------------------------------- properties
@@ -766,6 +785,52 @@ def test_timeline_sorts_and_clips_as_comparing_datetimes_would(case):
     if isinstance(line, Timeline):
         # isoformat keeps the offset, which equality of aware datetimes ignores
         assert [_shown(e) for e in line.events] == [_shown(e) for e in _reference_sort_and_clip(events, window)]
+
+
+#: Asked-for names: canonical ones, aliases, other spellings, and names never observed.
+_ASKED = ("eating", "meal", "Eating ", "sleep", "bedtime", "exercise", "medication", "swimming", "")
+
+
+@st.composite
+def _indexed_timelines(draw):
+    """A ``random_timeline``, or intakes and activities under alias names in mixed
+    UTC offsets (some intakes named like an activity), with an open or closed window."""
+    if draw(st.booleans()):
+        return random_timeline(draw(st.randoms(use_true_random=False)))
+    events = draw(st.lists(
+        st.builds(lambda kind, name, minute, zone: TimelineEvent(kind, name, (DAY0 + timedelta(minutes=minute)).astimezone(zone)),
+                  st.sampled_from(EVENT_KINDS), st.sampled_from(("medication", "eating", "meal", "Sleep", "bedtime")),
+                  st.integers(0, 3 * 1440), st.sampled_from(ZONES)),
+        min_size=1, max_size=12,
+    ))
+    bounds = st.lists(st.integers(-60, 4000).map(lambda m: DAY0 + timedelta(minutes=m)), min_size=2, max_size=2)
+    window = draw(st.one_of(st.just((None, None)), bounds.map(lambda pair: tuple(sorted(pair)))))
+    return Timeline(tuple(draw(st.permutations(events))), window)
+
+
+def _same_events(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def _answers_as_a_scan(line: Timeline) -> None:
+    assert _same_events(line.intakes(), tuple(e for e in line.events if e.kind == "intake"))
+    for name in _ASKED:
+        wanted = normalize_activity(name)
+        scan = tuple(e for e in line.events if e.kind == "activity" and e.name == wanted)
+        assert _same_events(line.activities(name), scan), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_timelines(), st.data())
+def test_the_index_answers_as_a_scan_of_the_events_and_stays_out_of_equality(line, data):
+    _answers_as_a_scan(line)
+    twin = Timeline(tuple(data.draw(st.permutations(line.events))), line.window)
+    assert twin == line and hash(twin) == hash(line) and repr(twin) == repr(line)
+    assert repr(line) == f"Timeline(events={line.events!r}, window={line.window!r})"
+    assert [f.name for f in fields(Timeline)] == ["events", "window"]
+    back = pickle.loads(pickle.dumps(line))
+    assert back == line and hash(back) == hash(line)
+    _answers_as_a_scan(back)
 
 
 def test_events_in_two_offsets_build_nearly_as_fast_as_in_one():

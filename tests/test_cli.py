@@ -278,6 +278,27 @@ def test_extract_excludes_a_text_twin_of_a_fewshot_example(tmp_path, capsys):
         assert [json.loads(line)["dug_id"] for line in out.splitlines()] == ["q0"]
 
 
+def test_extract_marks_a_record_failed_when_a_fewshot_text_holds_its_query_block(tmp_path, capsys):
+    corpus, fewshot_file = tmp_path / "corpus.jsonl", tmp_path / "fewshot.jsonl"
+    clash, other = make_dug("q0", "Take twice daily.", []), make_dug("q1", "Take with food.", [])
+    dataset.dump_dugs([clash, other], corpus)
+    example = make_dug("f1", "See note. Statement: Take twice daily.", ["2 times day"])
+    dataset.dump_dugs([example], fewshot_file)
+    fixtures = tmp_path / "fixtures.jsonl"
+    prompt = build_prompt(default_template("simple"), fewshot_from_dugs([example]), other)
+    ReplayClient(fixtures).store(prompt, "2 times day")
+    code, out, err = run(capsys, [
+        "extract", "--file", str(corpus), "--fewshot", str(fewshot_file), "--strategy", "simple",
+        "--client", "replay", "--fixtures", str(fixtures),
+    ])
+    assert code == 0
+    failed, emitted = (json.loads(line) for line in out.splitlines())
+    assert failed["dug_id"] == "q0" and failed["raw_outputs"] == [] and failed["predictions"] == []
+    assert failed["error"] == "PromptBuildError: query block must appear exactly once in the rendered prompt"
+    assert (emitted["dug_id"], emitted["error"], emitted["predictions"]) == ("q1", None, ["2 times day"])
+    assert "1 record(s) marked failed" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_extract_parallelism_below_one_exits_one_naming_the_flag(tmp_path, pool, capsys, value):
     corpus, fewshot_file, fixtures = _prepare_replay_run(tmp_path, pool)
