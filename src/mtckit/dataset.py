@@ -29,7 +29,11 @@ SOURCES = ("fda", "medscape", "ehr")
 
 @dataclass(frozen=True)
 class Dug:
-    """A drug usage guideline statement with provenance and gold constraints."""
+    """A drug usage guideline statement with provenance and gold constraints.
+
+    ``labels`` may be any iterable; it is kept as a tuple without duplicates
+    under canonical-string equality, first occurrence first.
+    """
 
     id: str
     source: str
@@ -45,7 +49,7 @@ class Dug:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.text.strip():
             raise ValueError(f"dug {self.id!r} has empty text")
-        object.__setattr__(self, "labels", dedup_mtcs(list(self.labels)))
+        object.__setattr__(self, "labels", dedup_mtcs(self.labels))
 
     @property
     def label_strings(self) -> tuple[str, ...]:

@@ -5,10 +5,24 @@ class that declares its type number, name, canonical form and example.
 
 Every form has exactly one canonical surface string (digits, singular
 units, lowercase; negation as a leading ``not``). :func:`parse_mtc` accepts
-the canonical form plus a small set of lenient rewrites (plural units,
-number words one..twelve, count articles such as "3 times a day",
-"times daily", mixed case); :func:`serialize` always emits the canonical
-form, so ``parse_mtc(serialize(m)) == m`` for every well-formed value.
+the canonical form plus these lenient rewrites, and no others:
+
+* mixed case and runs of whitespace ("3  Times Day" -> "3 times day");
+* plural units ("6 hours apart" -> "6 hour apart");
+* number words one..twelve for a count or a clock hour ("three times day",
+  "before nine am" -> "before 9 am");
+* a count article before a frequency's unit: "a", "an", "per", "each" or
+  "in a" ("3 times a day" -> "3 times day");
+* "daily" for a frequency's unit, with or without "times" ("3 times daily"
+  and "3 daily" -> "3 times day");
+* "a.m."/"p.m." (the last dot optional), no space before the meridiem, and
+  ":" before the minutes ("after 10:30p.m." -> "after 10.30 pm");
+* "the" before a day part ("in the morning" -> "in morning");
+* repeated leading "not" folded into one ("not not before eating" ->
+  "not before eating").
+
+:func:`serialize` always emits the canonical form, so
+``parse_mtc(serialize(m)) == m`` for every well-formed value.
 Counts and clock times take ASCII digits only. Input that is not a ``str``
 (``None`` included) is a ``TypeError`` naming the parameter, never a
 :class:`NonvalidMtcError`.
@@ -30,7 +44,7 @@ import functools
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, ClassVar, Union, get_args, get_type_hints
+from typing import Callable, ClassVar, Iterable, Union, get_args, get_type_hints
 
 
 class NonvalidMtcError(ValueError):
@@ -579,7 +593,7 @@ class MtcListResult:
     invalid: tuple[InvalidSegment, ...] = ()
 
 
-def dedup_mtcs(items: list[Mtc]) -> tuple[Mtc, ...]:
+def dedup_mtcs(items: Iterable[Mtc]) -> tuple[Mtc, ...]:
     """Drop duplicates under canonical-string equality, keeping first occurrence."""
     kept: dict[str, Mtc] = {}
     for item in items:

@@ -14,7 +14,11 @@ fixtures file of ``{"fingerprint": <sha256 hex of the prompt bytes>,
 reproducible byte-for-byte and testable offline. The file is read once,
 when the client is built, into one table; a bad line fails that load as a
 :class:`~mtckit.tables.FileFormatError` naming ``path:line``, and a later
-line for the same fingerprint wins. ``store`` appends one line.
+line for the same fingerprint wins. ``store`` appends one line. The table
+in memory is keyed by the raw 32-byte sha256 digest, not its hex form, so
+each call hashes its prompt and looks the digest up; the file format stays
+the same, with hex fingerprints, and a call builds the hex form only to
+name a missing fixture.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def _universal_newlines(text: str) -> str:
 _FINGERPRINT = re.compile("[0-9a-f]{64}")
 
 
-def _fixture_row(line: str) -> tuple[str, str]:
+def _fixture_row(line: str) -> tuple[bytes, str]:
     record = json.loads(line)
     if not (
         isinstance(record, dict)
@@ -88,7 +92,7 @@ def _fixture_row(line: str) -> tuple[str, str]:
         and isinstance(record["text"], str)
     ):
         raise ValueError('expected {"fingerprint": <sha256 hex>, "text": <string>}')
-    return record["fingerprint"], _universal_newlines(record["text"])
+    return bytes.fromhex(record["fingerprint"]), _universal_newlines(record["text"])
 
 
 class ReplayClient:
@@ -99,12 +103,15 @@ class ReplayClient:
     """
 
     def __init__(self, path: str | Path):
+        import hashlib  # here, not at module level: see prompt_fingerprint
+
+        self._sha256 = hashlib.sha256
         self.path = Path(path)
         try:
             rows = read_lines(self.path, _fixture_row)
         except FileNotFoundError:
             rows = []
-        self._texts: dict[str, str] = dict(rows)
+        self._texts: dict[bytes, str] = dict(rows)
 
     def store(self, prompt: str, response_text: str) -> Path:
         """Append a fixture for ``prompt`` to the file; returns the file path.
@@ -114,9 +121,9 @@ class ReplayClient:
         """
         if not isinstance(response_text, str):
             raise TypeError(f"response_text must be a string, got {type(response_text).__name__}")
-        fingerprint = prompt_fingerprint(prompt)
+        digest = self._sha256(prompt.encode("utf-8")).digest()
         # The bytes json.dumps gives for the record, without its slower dict path.
-        line = f'{{"fingerprint": "{fingerprint}", "text": {json.dumps(response_text)}}}\n'
+        line = f'{{"fingerprint": "{digest.hex()}", "text": {json.dumps(response_text)}}}\n'
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
             fd = os.open(self.path, flags, 0o666)
@@ -128,15 +135,15 @@ class ReplayClient:
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)
-        self._texts[fingerprint] = _universal_newlines(response_text)
+        self._texts[digest] = _universal_newlines(response_text)
         return self.path
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         """The stored text for the prompt; a missing fingerprint raises :class:`ServiceError`."""
-        fingerprint = prompt_fingerprint(request.prompt)
-        text = self._texts.get(fingerprint)
+        digest = self._sha256(request.prompt.encode("utf-8")).digest()
+        text = self._texts.get(digest)
         if text is None:
-            raise ServiceError(f"no replay fixture {fingerprint} in {self.path}")
+            raise ServiceError(f"no replay fixture {digest.hex()} in {self.path}")
         return CompletionResponse(text)
 
 

@@ -10,18 +10,22 @@ service call, or a prompt that does not render (:class:`PromptBuildError`),
 marks the record failed; results are never fabricated.
 
 :func:`iter_extract_corpus` is the one corpus entry point, and every
-prompt renders the template shipped for the strategy kind.
+prompt renders the template shipped for the strategy kind. The judgement of
+an answer to a probe type is memoized (:func:`_judge`), which pays only
+when answers repeat, as replayed or canned ones over a narrow label space
+do; records share its frozen results.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .. import grammar
 from ..dataset import Dug
-from ..normalize import normalize_raw_output
+from ..normalize import NORMALIZE_CACHE_SIZE, normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
 from .prompts import PromptBuildError, PromptStrategy, build_prompt, default_template
@@ -107,6 +111,10 @@ def extract(
 
     probe_types: tuple[int | None, ...] = strategy.types if strategy.kind == "specialized" else (None,)
     raw_outputs: list[RawCall] = []
+    candidates: list[CandidateResult] = []
+    predictions: list[str] = []
+    parsed: list[grammar.Mtc] = []
+    off_type: list[str] = []
     error: str | None = None
     for probe in probe_types:
         try:
@@ -122,26 +130,12 @@ def extract(
         except Exception as exc:  # any client failure marks the record failed
             error = str(exc) if isinstance(exc, ServiceError) else f"{type(exc).__name__}: {exc}"
             break
-        raw_outputs.append(RawCall(response.text, probe))
-
-    candidates: list[CandidateResult] = []
-    predictions: list[str] = []
-    parsed: list[grammar.Mtc] = []
-    off_type: list[str] = []
-    for call in raw_outputs:
-        for candidate in normalize_raw_output(call.text).candidates:
-            try:
-                mtc = grammar.parse_mtc(candidate)
-            except grammar.NonvalidMtcError as exc:
-                candidates.append(CandidateResult(candidate, False, exc.reason))
-                predictions.append(candidate)
-                continue
-            candidates.append(CandidateResult(candidate, True))
-            if call.mtc_type is not None and grammar.mtc_type(mtc) != call.mtc_type:
-                off_type.append(candidate)
-                continue
-            predictions.append(candidate)
-            parsed.append(mtc)
+        call, judged, forwarded, mtcs, off = _judge(response.text, probe)
+        raw_outputs.append(call)
+        candidates += judged
+        predictions += forwarded
+        parsed += mtcs
+        off_type += off
 
     return ExtractionRecord(
         dug_id=dug.id,
@@ -153,6 +147,42 @@ def extract(
         off_type=tuple(off_type),
         error=error,
     )
+
+
+# typed: a probe of True equals 1 as a key, but a record shows it as true.
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE, typed=True)
+def _judge(
+    text: str, probe: int | None
+) -> tuple[RawCall, tuple[CandidateResult, ...], tuple[str, ...], tuple[grammar.Mtc, ...], tuple[str, ...]]:
+    """``(call, candidates, predictions, parsed, off_type)`` of one answer to a ``probe`` call.
+
+    ``call`` is the answer as a :class:`RawCall`. Every candidate is judged
+    for validity; a valid one of another type than ``probe`` is off-type,
+    the rest are forwarded, and ``parsed`` holds the values of the valid
+    forwarded ones. The last ``NORMALIZE_CACHE_SIZE`` distinct ``(text,
+    probe)`` judgements are kept: they hold only frozen values and tuples of
+    them, which every record shares. That saves work only on a repeated
+    answer; a new one pays for the key and the store on top of the
+    judgement. ``__wrapped__`` is the uncached judgement.
+    """
+    candidates: list[CandidateResult] = []
+    predictions: list[str] = []
+    parsed: list[grammar.Mtc] = []
+    off_type: list[str] = []
+    for candidate in normalize_raw_output(text).candidates:
+        try:
+            mtc = grammar.parse_mtc(candidate)
+        except grammar.NonvalidMtcError as exc:
+            candidates.append(CandidateResult(candidate, False, exc.reason))
+            predictions.append(candidate)
+            continue
+        candidates.append(CandidateResult(candidate, True))
+        if probe is not None and grammar.mtc_type(mtc) != probe:
+            off_type.append(candidate)
+            continue
+        predictions.append(candidate)
+        parsed.append(mtc)
+    return RawCall(text, probe), tuple(candidates), tuple(predictions), tuple(parsed), tuple(off_type)
 
 
 def iter_extract_corpus(

@@ -360,6 +360,15 @@ def _edges(mtc, cfg) -> list[int]:
     return [0]
 
 
+def _local_edges(mtc, cfg) -> list[int]:
+    """Minutes into an intake's local day at which a clock or day-part verdict turns."""
+    if isinstance(mtc, grammar.TimeDependency):
+        return [mtc.time.minutes_into_day()]
+    if isinstance(mtc, grammar.TimeOfDay):
+        return [t.hour * 60 + t.minute for t in cfg.day_part_windows[mtc.day_part]]
+    return []
+
+
 @st.composite
 def cases(draw):
     """(constraint, timeline, tolerances) with timestamps that collide and sit
@@ -367,29 +376,45 @@ def cases(draw):
 
     Intakes lie on a 10-minute, hourly or half-day grid from the window start,
     sometimes as a regular schedule; most intakes get an activity a minute
-    either side of, or exactly on, an edge of the constraint. Events carry
-    mixed UTC offsets, and half the timelines are built directly, unsorted
-    and unclipped."""
+    either side of, or exactly on, an edge of the constraint. Some timelines
+    pin the boundaries the module docstring names: intakes exactly one
+    interval bound apart, and intakes whose local clock is exactly a
+    ``before``/``after`` clock time or a day-part window's start or end.
+    Events carry mixed UTC offsets, and half the timelines are built
+    directly, unsorted and unclipped."""
     mtc, cfg = draw(_mtcs), draw(_configs)
     step = draw(st.sampled_from((10, 60, 720)))
-    if draw(st.booleans()):
+    # (minute from the window start, UTC offset or None to draw one) of each intake
+    if isinstance(mtc, grammar.Interval) and draw(st.booleans()):
+        first, bound = step * draw(st.integers(0, 3)), mtc.n * _MINUTES[mtc.unit]
+        intakes = [(first + k * bound, None) for k in range(draw(st.integers(2, 4)))]
+    elif _local_edges(mtc, cfg) and draw(st.booleans()):
+        intakes = []
+        for local in draw(st.lists(st.sampled_from(_local_edges(mtc, cfg)), min_size=1, max_size=3)):
+            zone = draw(st.sampled_from(ZONES))
+            minute = 1440 * draw(st.integers(1, 3)) + local - zone.utcoffset(None) // timedelta(minutes=1)
+            intakes.append((minute, zone))
+    elif draw(st.booleans()):
         first = draw(st.integers(0, 3))
-        slots = list(range(first, first + draw(st.integers(0, 8))))
+        intakes = [(step * slot, None) for slot in range(first, first + draw(st.integers(0, 8)))]
     else:
-        slots = draw(st.lists(st.integers(0, 72), max_size=8))
+        intakes = [(step * slot, None) for slot in draw(st.lists(st.integers(0, 72), max_size=8))]
     names = ALIASES[getattr(mtc, "activity", "eating")]
-    placed = [("intake", "medication", step * slot) for slot in slots]
-    for slot in slots:
+    placed = [("intake", "medication", minute, zone) for minute, zone in intakes]
+    for minute, _ in intakes:
         if draw(st.integers(0, 4)):
             edge = draw(st.sampled_from(_edges(mtc, cfg))) + draw(st.sampled_from((-1, 0, 0, 1)))
-            placed.append(("activity", draw(st.sampled_from(names)), step * slot + edge))
+            placed.append(("activity", draw(st.sampled_from(names)), minute + edge, None))
     for _ in range(draw(st.integers(0, 2))):
-        placed.append(("activity", "exercise", 10 * draw(st.integers(0, 432))))
+        placed.append(("activity", "exercise", 10 * draw(st.integers(0, 432)), None))
     events = [
-        TimelineEvent(kind, name, (DAY0 + timedelta(minutes=minute)).astimezone(draw(st.sampled_from(ZONES))))
-        for kind, name, minute in draw(st.permutations(placed))
+        TimelineEvent(kind, name, (DAY0 + timedelta(minutes=minute)).astimezone(zone or draw(st.sampled_from(ZONES))))
+        for kind, name, minute, zone in draw(st.permutations(placed))
     ]
-    window = (DAY0, DAY0 + timedelta(minutes=step * draw(st.integers(0, 72))))
+    end = step * draw(st.integers(0, 72))
+    if draw(st.booleans()):  # a window that holds every intake
+        end = max([end] + [minute + 1 for minute, _ in intakes])
+    window = (DAY0, DAY0 + timedelta(minutes=end))
     if draw(st.booleans()):
         return mtc, Timeline(tuple(events), window), cfg
     return mtc, Timeline.build(events, window), cfg

@@ -221,6 +221,12 @@ def test_numeric_range_is_nonvalid_with_reason():
         ("NOT BEFORE EXERCISE", "not before exercise"),
         ("before 9am", "before 9 am"),
         ("after nine pm", "after 9 pm"),
+        ("before 9 a.m.", "before 9 am"),
+        ("after 10:30p.m.", "after 10.30 pm"),
+        ("at 8 a.m each day", "at 8 am each day"),
+        ("1 times an hour", "1 times hour"),
+        ("3  times\tday", "3 times day"),
+        ("not not before eating", "not before eating"),
     ],
 )
 def test_lenient_variants_normalize_to_canonical(lenient, canonical):

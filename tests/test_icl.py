@@ -17,6 +17,7 @@ import time
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -51,8 +52,9 @@ from mtckit.icl import (
 )
 from mtckit.icl import prompts
 from mtckit.icl.fewshot import FewShotSet
-from mtckit.normalize import default_activity_aliases
+from mtckit.normalize import NORMALIZE_CACHE_SIZE, default_activity_aliases
 
+import replay_scenario
 from conftest import make_dug
 
 
@@ -307,9 +309,11 @@ def _reference_prompt(template, fewshot, dug, mtc_type=None) -> str:
             .replace("{type_description}", guide.description)
             .replace("{format_heuristic}", guide.heuristic)
         )
+    # Answers are canonical strings, which hold no braces, so filling them
+    # first leaves a text's own "{answer}" verbatim, as one-pass filling does.
     examples = [
-        template.example_format.replace("{text}", pair.dug.text).replace(
-            "{answer}", gold_answer(pair.dug, mtc_type)
+        template.example_format.replace("{answer}", gold_answer(pair.dug, mtc_type)).replace(
+            "{text}", pair.dug.text
         )
         for pair in fewshot.pairs
     ]
@@ -396,6 +400,10 @@ def test_strategy_mismatch_raised_with_warm_cache(pool):
             build_prompt(default_template("specialized"), fewshot, dug, mtc_type=9)
         with pytest.raises(StrategyMismatchError):
             build_prompt(default_template("simple"), fewshot, dug, mtc_type=2)
+        with pytest.raises(StrategyMismatchError):
+            build_prompt(default_template("simple"), fewshot, dug, mtc_type=[2])
+        with pytest.raises(TypeError, match="unhashable"):
+            build_prompt(default_template("specialized"), fewshot, dug, mtc_type=[2])
 
 
 def test_fewshot_set_value_semantics(pool):
@@ -979,3 +987,146 @@ def test_record_to_dict_shape(tmp_path, pool):
     assert record["predictions"] == ["3 times day"]
     assert record["mtcs"] == ["3 times day"]
     assert record["candidates"][0]["valid"] is True
+
+
+# ------------------------------------------------------ answer judgement
+
+# The submodule, which the package's ``extract`` function shadows.
+extract_module = importlib.import_module("mtckit.icl.extract")
+
+#: Every answer of the replay scenario, its noisy forms included.
+_SCENARIO_ANSWERS = sorted({
+    replay_scenario.canned_response(i, t, dug)
+    for i, dug in enumerate(replay_scenario.build_corpus())
+    for t in SPECIALIZED_DEFAULT_TYPES
+})
+_answers = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from(_SCENARIO_ANSWERS),
+    st.lists(st.sampled_from(_SCENARIO_ANSWERS), min_size=2, max_size=3).map("\n".join),
+)
+_JUDGE_FEWSHOT = fewshot_from_dugs([make_dug("f1", "Take twice daily.", ["2 times day"])])
+_JUDGED = make_dug("q1", "Take one tablet by mouth as directed.", [])
+
+
+class _Scripted:
+    """Gives ``answers`` in call order; call ``fail_at`` (counted from 0) raises."""
+
+    def __init__(self, answers, fail_at=None):
+        self.answers = answers
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def complete(self, request):
+        call, self.calls = self.calls, self.calls + 1
+        if call == self.fail_at:
+            raise RuntimeError("no answer")
+        return CompletionResponse(self.answers[call])
+
+
+def _strategy(probes) -> PromptStrategy:
+    return PromptStrategy.simple() if probes == (None,) else PromptStrategy.specialized(probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    probes=st.one_of(st.just((None,)), st.lists(st.integers(1, 7), min_size=1, max_size=7, unique=True).map(tuple)),
+    data=st.data(),
+)
+def test_judging_each_answer_once_gives_the_records_of_the_uncached_path(probes, data):
+    answers = [data.draw(_answers) for _ in probes]
+    fail_at = data.draw(st.one_of(st.none(), st.integers(0, len(probes) - 1)))
+    judge = extract_module._judge
+    assert judge.cache_parameters()["maxsize"] == NORMALIZE_CACHE_SIZE
+
+    def record(probes=probes, answers=answers, fail_at=fail_at) -> dict:
+        return extract(_JUDGED, _strategy(probes), _JUDGE_FEWSHOT, _Scripted(answers, fail_at)).to_dict()
+
+    first = record()
+    answered = len(probes) if fail_at is None else fail_at
+    hits = judge.cache_info().hits
+    warm = record()
+    assert judge.cache_info().hits - hits == answered  # every answer judged from the memo
+    judge.cache_clear()
+    cold = record()
+    with patch.object(extract_module, "_judge", judge.__wrapped__):
+        uncached = record()
+    assert first == warm == cold == uncached
+    assert [call["text"] for call in first["raw_outputs"]] == answers[:answered]
+    if fail_at is None:
+        assert first["error"] is None
+    else:  # the calls answered before the failure, and nothing made up
+        assert first["error"] == "RuntimeError: no answer"
+        if answered:
+            assert {**first, "error": None} == record(probes[:answered], answers[:answered], None)
+        else:
+            assert first["candidates"] == first["predictions"] == first["mtcs"] == first["off_type"] == []
+
+
+def test_a_record_shares_the_judged_values():
+    strategy = PromptStrategy.specialized((2, 4))
+    answers = ["3 times day OR 2 times day; before sleep", "before sleep"]
+    one, two = (extract(_JUDGED, strategy, _JUDGE_FEWSHOT, _Scripted(answers)) for _ in range(2))
+    assert one == two
+    assert all(a is b for a, b in zip(one.raw_outputs + one.candidates, two.raw_outputs + two.candidates))
+    assert [c.valid for c in one.candidates] == [False, True, True]
+    assert one.off_type == ("before sleep",) and one.predictions == ("3 times day or 2 times day", "before sleep")
+
+
+def test_a_probe_type_equal_to_another_keeps_its_own_judgement():
+    # True passes as type 1, and a record shows the probe as given.
+    for probe in (1, True, 1):
+        record = extract(_JUDGED, PromptStrategy.specialized((probe,)), _JUDGE_FEWSHOT, _Scripted(["before sleep"]))
+        assert [call.mtc_type for call in record.raw_outputs] == [probe]
+        assert type(record.raw_outputs[0].mtc_type) is type(probe)
+
+
+# ------------------------------------------ few-shot texts with query text
+
+_TEMPLATE_FRAGMENTS = ("Statement: ", "Statement:", "Constraints: ", "Constraints:", "\n", "\n\n",
+                       "{text}", "{answer}", "NONE", "; ")
+_QUERY_TEXTS = ("Take twice daily.", "Take with food.", "Statement: Take twice daily.",
+                *(dug.text for dug in replay_scenario.build_corpus()[:5]))
+
+
+class _Echo:
+    def complete(self, request):
+        return CompletionResponse("2 times day; before sleep")
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["simple", "guided", "specialized"]), data=st.data())
+def test_fewshot_texts_embedding_corpus_texts_fail_their_records_never_make_them_up(kind, data):
+    texts = data.draw(st.lists(
+        st.one_of(st.sampled_from(_QUERY_TEXTS), st.text(min_size=1, max_size=20).filter(str.strip)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    corpus = [make_dug(f"q{i}", text, []) for i, text in enumerate(texts)]
+    pieces = st.one_of(st.sampled_from(_TEMPLATE_FRAGMENTS), st.sampled_from(texts), st.text(max_size=8))
+    quoting = st.builds(  # a text that quotes a guideline the way a prompt does
+        lambda before, text, after: f"{before}Statement: {text}{after}",
+        st.text(max_size=5), st.sampled_from(texts),
+        st.sampled_from(("", "\nConstraints:", "\nConstraints: NONE", " and more")),
+    )
+    examples = data.draw(st.lists(
+        st.one_of(quoting, st.lists(pieces, min_size=1, max_size=5).map("".join)).filter(str.strip),
+        min_size=1, max_size=3, unique=True,
+    ))
+    fewshot = fewshot_from_dugs([make_dug(f"f{i}", text, ["2 times day"]) for i, text in enumerate(examples)])
+    dugs = exclude_fewshot(corpus, fewshot)
+    strategy = PromptStrategy(kind)
+    template = default_template(kind)
+    probes = strategy.types or (None,)
+    cold = [r.to_dict() for r in iter_extract_corpus(dugs, strategy, fewshot, _Echo())]
+    warm = [r.to_dict() for r in iter_extract_corpus(dugs, strategy, fewshot, _Echo())]
+    assert cold == warm and [r["dug_id"] for r in cold] == [d.id for d in dugs]
+    for dug, record in zip(dugs, cold):
+        query = template.query_format.replace("{text}", dug.text)
+        rendered = [_reference_prompt(template, fewshot, dug, t).count(query) == 1 for t in probes]
+        made = rendered.index(False) if False in rendered else len(probes)
+        assert [call["mtc_type"] for call in record["raw_outputs"]] == list(probes[:made])
+        assert len(record["candidates"]) == 2 * made
+        if made < len(probes):
+            assert record["error"] == "PromptBuildError: query block must appear exactly once in the rendered prompt"
+        else:
+            assert record["error"] is None
