@@ -168,7 +168,7 @@ def _read_report(path: str) -> str:
     """The text ``Path.read_text`` gives, naming a byte that is not UTF-8 as ``<path>:<line>``."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return tables.universal_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: {exc}") from None

@@ -80,7 +80,7 @@ def map_to_label(candidate: str, space: Container[str]) -> str:
     if not isinstance(candidate, str):
         raise TypeError(f"candidate must be a string, got {type(candidate).__name__}")
     canonical = _canonical(candidate)
-    if canonical is None or canonical == UNDEFINED_LABEL or canonical not in space:
+    if canonical is None or canonical not in space:
         return UNDEFINED_LABEL
     return canonical
 

@@ -27,11 +27,11 @@ Counts and clock times take ASCII digits only. Input that is not a ``str``
 (``None`` included) is a ``TypeError`` naming the parameter, never a
 :class:`NonvalidMtcError`.
 
-Model output repeats a narrow vocabulary, so :func:`parse_mtc` keeps the
-outcome of the last ``PARSE_CACHE_SIZE`` distinct strings in an LRU cache:
-the (immutable) value, or the rejection reason, from which each call
-raises a fresh :class:`NonvalidMtcError`. No other exception leaves the
-parser, so nothing else can be cached.
+:func:`parse_mtc` keeps the outcome of the last ``PARSE_CACHE_SIZE``
+distinct strings in an LRU cache: the (immutable) value, or the rejection
+reason, from which each call raises a fresh :class:`NonvalidMtcError`. It
+pays only when fewer than that many distinct strings recur, as gold labels do.
+No other exception leaves the parser, so nothing else can be cached.
 
 :func:`serialize` renders each value's canonical string once and keeps it
 on the value, outside the dataclass fields, so a label read on every

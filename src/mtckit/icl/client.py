@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
-from ..tables import read_lines
+from ..tables import read_lines, universal_newlines
 
 if TYPE_CHECKING:
     import requests
@@ -74,11 +74,6 @@ def prompt_fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _universal_newlines(text: str) -> str:
-    """``text`` with ``\\r\\n`` and a lone ``\\r`` turned into ``\\n``, as text-mode reading does."""
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 _FINGERPRINT = re.compile("[0-9a-f]{64}")
 
 
@@ -92,7 +87,7 @@ def _fixture_row(line: str) -> tuple[bytes, str]:
         and isinstance(record["text"], str)
     ):
         raise ValueError('expected {"fingerprint": <sha256 hex>, "text": <string>}')
-    return bytes.fromhex(record["fingerprint"]), _universal_newlines(record["text"])
+    return bytes.fromhex(record["fingerprint"]), universal_newlines(record["text"])
 
 
 class ReplayClient:
@@ -135,7 +130,7 @@ class ReplayClient:
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)
-        self._texts[digest] = _universal_newlines(response_text)
+        self._texts[digest] = universal_newlines(response_text)
         return self.path
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:

@@ -10,10 +10,10 @@ service call, or a prompt that does not render (:class:`PromptBuildError`),
 marks the record failed; results are never fabricated.
 
 :func:`iter_extract_corpus` is the one corpus entry point, and every
-prompt renders the template shipped for the strategy kind. The judgement of
-an answer to a probe type is memoized (:func:`_judge`), which pays only
-when answers repeat, as replayed or canned ones over a narrow label space
-do; records share its frozen results.
+prompt renders the template shipped for the strategy kind. :func:`_judge`
+memoizes the judgement (normalize, parse, off-type split) of an answer to a
+probe type: the one per-answer memo on this path, which pays only when
+answers repeat, as replayed or canned ones over a narrow label space do.
 """
 
 from __future__ import annotations
@@ -149,8 +149,7 @@ def extract(
     )
 
 
-# typed: a probe of True equals 1 as a key, but a record shows it as true.
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
 def _judge(
     text: str, probe: int | None
 ) -> tuple[RawCall, tuple[CandidateResult, ...], tuple[str, ...], tuple[grammar.Mtc, ...], tuple[str, ...]]:

@@ -56,7 +56,7 @@ class PromptBuildError(ValueError):
 
 @dataclass(frozen=True)
 class PromptStrategy:
-    """One of the three prompting strategies."""
+    """One of the three prompting strategies; each of ``types`` is a plain ``int``, not a ``bool``."""
 
     kind: str
     types: tuple[int, ...] = ()
@@ -64,6 +64,9 @@ class PromptStrategy:
     def __post_init__(self) -> None:
         if self.kind not in _STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
+        for member in self.types:
+            if type(member) is not int:
+                raise TypeError(f"types must hold integers, got {type(member).__name__}")
         if self.kind == "specialized":
             if not self.types:
                 object.__setattr__(self, "types", SPECIALIZED_DEFAULT_TYPES)

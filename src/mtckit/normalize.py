@@ -10,13 +10,12 @@ Activity aliases live in a plain-text table (``alias<TAB>canonical``, ``#``
 comments) shipped with the package, so new activity vocabulary needs no code
 change.
 
-Model answers repeat a narrow vocabulary, so :func:`normalize_raw_output`
-and :func:`normalize_activity` each keep the results of the last
-``NORMALIZE_CACHE_SIZE`` distinct strings in an LRU cache; the results are
-immutable, so callers share one value, and ``__wrapped__`` is the uncached
-function. Input that is not a ``str`` (``None`` included) is a ``TypeError``
-naming the parameter, raised before the cache is consulted. Number words and
-time units come from :mod:`mtckit.grammar`.
+Activity and event names repeat a narrow vocabulary, so only
+:func:`normalize_activity` is memoized: an LRU cache of the last
+``NORMALIZE_CACHE_SIZE`` distinct strings, whose ``__wrapped__`` is the
+uncached function. Extraction memoizes whole judged answers instead. Input
+that is not a ``str`` (``None`` included) is a ``TypeError`` naming the
+parameter. Number words and time units come from :mod:`mtckit.grammar`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from .grammar import NUMBER_WORDS, SEGMENT_SEPARATOR, TimeUnit
 from .tables import DATA, read_table
 
-#: Distinct strings whose normalization each memoized function keeps.
+#: Distinct strings whose normalization :func:`normalize_activity` keeps.
 NORMALIZE_CACHE_SIZE = 1024
 
 _NUMBER_DIGITS = {word: str(value) for word, value in NUMBER_WORDS.items()}
@@ -135,7 +134,6 @@ def _apply_activity_alias(tokens: list[str]) -> list[str]:
     return tokens
 
 
-@_memoized
 def normalize_raw_output(raw: str) -> NormalizationResult:
     """Reduce one raw completion to candidate constraint strings.
 
@@ -148,10 +146,9 @@ def normalize_raw_output(raw: str) -> NormalizationResult:
     ``before``/``after``. Segments are never split on ``OR``: an
     alternative-joined answer stays one candidate and fails validity
     downstream.
-
-    Memoized per raw string; the result is frozen and holds only tuples,
-    so every caller can share it.
     """
+    if not isinstance(raw, str):
+        raise TypeError(f"raw must be a string, got {type(raw).__name__}")
     text = _strip_wrapping(raw)
     if " ".join(text.lower().split()) == "none":
         return NormalizationResult(())

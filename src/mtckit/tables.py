@@ -26,6 +26,11 @@ class FileFormatError(ValueError):
         super().__init__("; ".join(shown))
 
 
+def universal_newlines(text: str) -> str:
+    """``text`` with ``\\r\\n`` and a lone ``\\r`` turned into ``\\n``, as text-mode reading does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_lines(path: str | Path, row: Callable[[str], object]) -> list:
     """``row(line)`` for each nonblank line of a UTF-8 file or package resource.
 

@@ -55,7 +55,7 @@ from mtckit.icl.fewshot import FewShotSet
 from mtckit.normalize import NORMALIZE_CACHE_SIZE, default_activity_aliases
 
 import replay_scenario
-from conftest import make_dug
+from conftest import make_dug, random_mtc
 
 
 # ------------------------------------------------------------- selection
@@ -1000,10 +1000,15 @@ _SCENARIO_ANSWERS = sorted({
     for i, dug in enumerate(replay_scenario.build_corpus())
     for t in SPECIALIZED_DEFAULT_TYPES
 })
+#: Surface noise that normalizing rewrites or drops: stubs, quotes, number words, ``OR``, separators.
+_NOISY_WORDS = ["Take", "do not", "NONE", "three", "times", "daily", "hours", "before", "after",
+                "bedtime", "meals", "eating", "apart", ";", "\n", '"', ".", "OR", "in", "morning"]
 _answers = st.one_of(
     st.text(max_size=40),
     st.sampled_from(_SCENARIO_ANSWERS),
     st.lists(st.sampled_from(_SCENARIO_ANSWERS), min_size=2, max_size=3).map("\n".join),
+    st.lists(st.sampled_from(_NOISY_WORDS), max_size=10).map(" ".join),
+    st.randoms(use_true_random=False).map(lambda rng: grammar.serialize(random_mtc(rng))),
 )
 _JUDGE_FEWSHOT = fewshot_from_dugs([make_dug("f1", "Take twice daily.", ["2 times day"])])
 _JUDGED = make_dug("q1", "Take one tablet by mouth as directed.", [])
@@ -1037,7 +1042,7 @@ def test_judging_each_answer_once_gives_the_records_of_the_uncached_path(probes,
     answers = [data.draw(_answers) for _ in probes]
     fail_at = data.draw(st.one_of(st.none(), st.integers(0, len(probes) - 1)))
     judge = extract_module._judge
-    assert judge.cache_parameters()["maxsize"] == NORMALIZE_CACHE_SIZE
+    assert judge.cache_parameters() == {"maxsize": NORMALIZE_CACHE_SIZE, "typed": False}
 
     def record(probes=probes, answers=answers, fail_at=fail_at) -> dict:
         return extract(_JUDGED, _strategy(probes), _JUDGE_FEWSHOT, _Scripted(answers, fail_at)).to_dict()
@@ -1073,12 +1078,12 @@ def test_a_record_shares_the_judged_values():
     assert one.off_type == ("before sleep",) and one.predictions == ("3 times day or 2 times day", "before sleep")
 
 
-def test_a_probe_type_equal_to_another_keeps_its_own_judgement():
-    # True passes as type 1, and a record shows the probe as given.
-    for probe in (1, True, 1):
-        record = extract(_JUDGED, PromptStrategy.specialized((probe,)), _JUDGE_FEWSHOT, _Scripted(["before sleep"]))
-        assert [call.mtc_type for call in record.raw_outputs] == [probe]
-        assert type(record.raw_outputs[0].mtc_type) is type(probe)
+@pytest.mark.parametrize("types, name", [((True, 2), "bool"), ((1.0,), "float"), ((2, "4"), "str"), ((3, None), "NoneType")])
+def test_a_probe_type_that_is_not_a_plain_int_is_refused(types, name):
+    # A bool or float equal to a type number would reach the judge memo and print as given in a record.
+    for make in (PromptStrategy.specialized, lambda types: PromptStrategy("specialized", types)):
+        with pytest.raises(TypeError, match=f"^types must hold integers, got {name}$"):
+            make(types)
 
 
 # ------------------------------------------ few-shot texts with query text

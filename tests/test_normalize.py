@@ -16,7 +16,6 @@ from mtckit.normalize import (
     normalize_raw_output,
 )
 
-from conftest import random_mtc
 from test_grammar import CANONICAL_FIXTURES
 
 
@@ -185,26 +184,6 @@ def test_none_totality(raw):
 
 # ------------------------------------------------------- memo and vocabulary
 
-_raw_outputs = st.one_of(
-    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80),
-    st.lists(
-        st.sampled_from(
-            ["Take", "do not", "NONE", "three", "times", "daily", "hours", "before", "after",
-             "bedtime", "meals", "eating", "apart", ";", "\n", '"', ".", "OR", "in", "morning"]
-        ),
-        max_size=10,
-    ).map(" ".join),
-    st.randoms(use_true_random=False).map(lambda rng: grammar.serialize(random_mtc(rng))),
-)
-
-
-@given(_raw_outputs)
-def test_memoized_normalization_equals_uncached(raw):
-    expected = normalize_raw_output.__wrapped__(raw)
-    assert normalize_raw_output(raw) == expected  # cold or warm
-    assert normalize_raw_output(raw) == expected  # warm
-
-
 _activity_phrases = st.one_of(
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30),
     st.lists(
@@ -223,7 +202,6 @@ def test_memoized_activity_equals_uncached(phrase):
 
 def test_normalize_cache_is_bounded():
     assert NORMALIZE_CACHE_SIZE == 1024
-    assert normalize_raw_output.cache_info().maxsize == NORMALIZE_CACHE_SIZE
     assert normalize_activity.cache_info().maxsize == NORMALIZE_CACHE_SIZE
 
 
