@@ -31,8 +31,10 @@ SOURCES = ("fda", "medscape", "ehr")
 class Dug:
     """A drug usage guideline statement with provenance and gold constraints.
 
-    ``labels`` may be any iterable; it is kept as a tuple without duplicates
-    under canonical-string equality, first occurrence first.
+    ``labels`` may be any iterable of MTC values; it is kept as a tuple
+    without duplicates under canonical-string equality, first occurrence
+    first. An ``id``, ``text`` or ``labels`` of another type raises
+    ``TypeError`` naming it; a bad value raises ``ValueError``.
     """
 
     id: str
@@ -41,15 +43,21 @@ class Dug:
     labels: tuple[Mtc, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not isinstance(self.text, str):
-            raise ValueError(f"dug id and text must be strings, got {self.id!r} and {self.text!r}")
+        if not isinstance(self.id, str):
+            raise TypeError(f"dug id must be a string, got {type(self.id).__name__}")
+        if not isinstance(self.text, str):
+            raise TypeError(f"dug text must be a string, got {type(self.text).__name__}")
         if not self.id:
             raise ValueError("dug id must be nonempty")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.text.strip():
             raise ValueError(f"dug {self.id!r} has empty text")
-        object.__setattr__(self, "labels", dedup_mtcs(self.labels))
+        try:
+            labels = dedup_mtcs(self.labels)
+        except TypeError:  # not iterable, or a member that is not an MTC value
+            raise TypeError(f"dug labels must be an iterable of MTC values, got {self.labels!r}") from None
+        object.__setattr__(self, "labels", labels)
 
     @property
     def label_strings(self) -> tuple[str, ...]:
@@ -68,6 +76,9 @@ def _dug_from_dict(record: dict) -> Dug:
     for key in ("id", "source", "text", "labels"):
         if key not in record:
             raise ValueError(f"missing key {key!r}")
+    # Checked here, not left to Dug's TypeError: a bad line must stay a ValueError.
+    if not isinstance(record["id"], str) or not isinstance(record["text"], str):
+        raise ValueError(f"dug id and text must be strings, got {record['id']!r} and {record['text']!r}")
     if not isinstance(record["labels"], list):
         raise ValueError("'labels' must be an array of strings")
     labels = []

@@ -35,6 +35,7 @@ Prediction files are read by :func:`load_predictions`, naming each bad line.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Container, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
@@ -178,7 +179,9 @@ _VACUOUS = Scores(1.0, 1.0, 1.0)
 
 
 def _means(rows: Sequence[Scores]) -> Scores:
-    return Scores(*(sum(column) / len(rows) for column in zip(*rows))) if rows else _VACUOUS
+    # ``fsum`` rounds each total once, so the bits do not depend on the row
+    # order or on the interpreter (``sum`` compensates rounding from 3.12).
+    return Scores(*(math.fsum(column) / len(rows) for column in zip(*rows))) if rows else _VACUOUS
 
 
 def _prf(tp: int, fp: int, fn: int) -> Scores:
@@ -357,8 +360,6 @@ def evaluate(gold: Sequence[Dug], records: Sequence, space: LabelSpace | None = 
         per_label=per_label,
         macro_labels=macro_labels,
         macro=macro_average([per_label[l] for l in macro_labels]),
-        # Means over the guidelines in order: from Python 3.12 ``sum`` compensates
-        # rounding, so a running total would change the reported bits.
         example=_means(example_rows),
         positive=_means(positive_rows),
         positive_n_dugs=len(positive_rows),

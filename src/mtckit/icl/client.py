@@ -15,10 +15,13 @@ reproducible byte-for-byte and testable offline. The file is read once,
 when the client is built, into one table; a bad line fails that load as a
 :class:`~mtckit.tables.FileFormatError` naming ``path:line``, and a later
 line for the same fingerprint wins. ``store`` appends one line. The table
-in memory is keyed by the raw 32-byte sha256 digest, not its hex form, so
-each call hashes its prompt and looks the digest up; the file format stays
-the same, with hex fingerprints, and a call builds the hex form only to
-name a missing fixture.
+in memory maps the raw 32-byte sha256 digest, not its hex form, to one
+:class:`CompletionResponse` per distinct text, which every fixture with
+that text shares. A call looks up its request's
+:attr:`~CompletionRequest.fingerprint`, which ``extract`` computes from
+the hashed prompt prefix, so such a call hashes nothing itself; the file
+format stays the same, with hex fingerprints, and a call builds the hex
+form only to name a missing fixture.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
@@ -44,6 +48,21 @@ class CompletionRequest:
     prompt: str
     temperature: float = 0.0
     max_tokens: int = 256
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """Raw sha256 digest of the prompt's UTF-8 bytes (the replay fixture key).
+
+        Computed on first read and kept in the instance ``__dict__`` under
+        this name; :func:`~mtckit.icl.extract.extract` puts it there when it
+        builds the request, from its prompt prefix's kept hash state. It is
+        not a field, so equality, hashing and ``repr`` ignore it; the
+        request is frozen, so it cannot be assigned. A prompt that is not
+        strict UTF-8 raises ``UnicodeEncodeError`` on every read.
+        """
+        import hashlib  # here, not at module level: see prompt_fingerprint
+
+        return hashlib.sha256(self.prompt.encode("utf-8")).digest()
 
 
 @dataclass(frozen=True)
@@ -106,7 +125,17 @@ class ReplayClient:
             rows = read_lines(self.path, _fixture_row)
         except FileNotFoundError:
             rows = []
-        self._texts: dict[bytes, str] = dict(rows)
+        self._shared: dict[str, CompletionResponse] = {}
+        self._responses: dict[bytes, CompletionResponse] = {
+            digest: self._response(text) for digest, text in rows
+        }
+
+    def _response(self, text: str) -> CompletionResponse:
+        """The one response this client serves for ``text``."""
+        response = self._shared.get(text)
+        if response is None:
+            response = self._shared[text] = CompletionResponse(text)
+        return response
 
     def store(self, prompt: str, response_text: str) -> Path:
         """Append a fixture for ``prompt`` to the file; returns the file path.
@@ -130,16 +159,16 @@ class ReplayClient:
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)
-        self._texts[digest] = universal_newlines(response_text)
+        self._responses[digest] = self._response(universal_newlines(response_text))
         return self.path
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        """The stored text for the prompt; a missing fingerprint raises :class:`ServiceError`."""
-        digest = self._sha256(request.prompt.encode("utf-8")).digest()
-        text = self._texts.get(digest)
-        if text is None:
+        """The stored response for the prompt; a missing fingerprint raises :class:`ServiceError`."""
+        digest = request.fingerprint
+        response = self._responses.get(digest)
+        if response is None:
             raise ServiceError(f"no replay fixture {digest.hex()} in {self.path}")
-        return CompletionResponse(text)
+        return response
 
 
 class HttpCompletionClient:

@@ -10,7 +10,10 @@ service call, or a prompt that does not render (:class:`PromptBuildError`),
 marks the record failed; results are never fabricated.
 
 :func:`iter_extract_corpus` is the one corpus entry point, and every
-prompt renders the template shipped for the strategy kind. :func:`_judge`
+prompt renders the template shipped for the strategy kind. Each request
+comes with its :attr:`~mtckit.icl.client.CompletionRequest.fingerprint`,
+hashed from a copy of the kept prefix's hash state and the query's bytes,
+which are encoded once per guideline. :func:`_judge`
 memoizes the judgement (normalize, parse, off-type split) of an answer to a
 probe type: the one per-answer memo on this path, which pays only when
 answers repeat, as replayed or canned ones over a narrow label space do.
@@ -28,7 +31,7 @@ from ..dataset import Dug
 from ..normalize import NORMALIZE_CACHE_SIZE, normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
-from .prompts import PromptBuildError, PromptStrategy, build_prompt, default_template
+from .prompts import PromptBuildError, PromptStrategy, _prefix, _query, build_prompt, default_template
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -110,6 +113,10 @@ def extract(
     template = default_template(strategy.kind)
 
     probe_types: tuple[int | None, ...] = strategy.types if strategy.kind == "specialized" else (None,)
+    try:
+        query = _query(template, dug).encode("utf-8")
+    except UnicodeEncodeError:  # left to the fingerprint's own read, which names the place in the prompt
+        query = None
     raw_outputs: list[RawCall] = []
     candidates: list[CandidateResult] = []
     predictions: list[str] = []
@@ -123,6 +130,13 @@ def extract(
             error = f"{type(exc).__name__}: {exc}"
             break
         request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens)
+        state = _prefix(template, fewshot, probe)[1]
+        if state is not None and query is not None:
+            # The prompt is the kept prefix, then the query: seed its
+            # fingerprint from the prefix's hash without hashing it again.
+            digest = state.copy()
+            digest.update(query)
+            request.__dict__["fingerprint"] = digest.digest()
         try:
             response = client.complete(request)
             if not isinstance(response.text, str):

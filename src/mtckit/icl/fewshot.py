@@ -66,9 +66,9 @@ class FewShotPair:
 
 _PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
 
-#: Key of a few-shot set's rendered prompt prefixes, by (template, type), in
-#: its ``__dict__``. It is not a dataclass field, so equality, hashing and
-#: repr ignore it.
+#: Key of a few-shot set's rendered prompt prefixes, with their sha256
+#: states, by (template header, example format, type), in its ``__dict__``.
+#: It is not a dataclass field, so equality, hashing and repr ignore it.
 _PREFIXES = "_prefixes"
 
 
@@ -82,9 +82,10 @@ class FewShotSet:
     query would repeat an example. ``gaps`` names the paired strata no pair
     covers. All three are settled once, at construction.
     :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
-    renders for a set in that set's ``__dict__``, so they live exactly as
-    long as the set. A pickled set leaves them out: they are rendered from
-    the package data of the process that built them.
+    renders for a set, and the hash state of each, in that set's
+    ``__dict__``, so they live exactly as long as the set. A pickled set
+    leaves them out: they are rendered from the package data of the process
+    that built them, and hash states do not pickle.
     """
 
     pairs: tuple[FewShotPair, ...]

@@ -19,10 +19,14 @@ prompt; identical inputs produce byte-identical prompts.
 
 Everything before the query (the header with its grammar, activity and
 type-guide slots filled, plus every few-shot example block) depends only
-on the template, the few-shot set and the constraint type, so it is
-rendered once per template and type and kept on the few-shot set, which
-frees it with the set; each :func:`build_prompt` call then validates its
-arguments, fills the query and appends it to the kept prefix.
+on the template's header and example format, the few-shot set and the
+constraint type, so it is rendered once per such key and kept on the
+few-shot set, which frees it with the set. With it is kept the sha256
+state of its UTF-8 bytes and the separator before the query, so a
+prompt's replay fingerprint hashes only the query's bytes on top of a
+copy of that state. Each :func:`build_prompt` call then validates its
+arguments, fills the query, checks it against the kept prefix alone and
+appends it.
 """
 
 from __future__ import annotations
@@ -227,14 +231,44 @@ def build_prompt(
     elif mtc_type is not None:
         raise StrategyMismatchError(f"{template.strategy_kind} template takes no mtc_type")
 
-    # Two threads racing on a first build store equal strings.
-    key = (template, mtc_type)
-    prefixes = fewshot.__dict__.setdefault(_PREFIXES, {})
-    prefix = prefixes.get(key)
-    if prefix is None:
-        prefix = prefixes.setdefault(key, _render_prefix(template, fewshot, mtc_type))
-    query = template.query_format.replace("{text}", dug.text)
-    prompt = f"{prefix}\n\n{query}"
-    if prompt.count(query) != 1:
+    head = _prefix(template, fewshot, mtc_type)[0]
+    query = _query(template, dug)
+    # The same test as ``(head + query).count(query) != 1`` without scanning
+    # the query part. The query is not empty (a guideline's text never is)
+    # and ends the prompt. If it occurs inside ``head``, the count's first
+    # match ends inside ``head`` too, before the final occurrence starts, so
+    # the count reaches 2. Otherwise every other occurrence straddles the
+    # boundary and overlaps the final one: the count takes the first of them
+    # in place of the final one and stays 1.
+    if query in head:
         raise PromptBuildError("query block must appear exactly once in the rendered prompt")
-    return prompt
+    return head + query
+
+
+def _prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> tuple:
+    """``(head, state)`` kept on ``fewshot``: the prefix and the blank line after it, and their sha256.
+
+    ``state`` hashes the UTF-8 bytes of ``head``, or is ``None`` when
+    ``head`` is not strict UTF-8 (a lone surrogate). It is only ever copied,
+    never updated, so threads share it. Entries are keyed by the template
+    fields the prefix is rendered from, a tuple hashed in C; two threads
+    racing on a first render store equal entries.
+    """
+    key = (template.header, template.example_format, mtc_type)
+    try:
+        return fewshot.__dict__[_PREFIXES][key]
+    except KeyError:
+        pass
+    import hashlib  # here, not at module level: see client.prompt_fingerprint
+
+    head = _render_prefix(template, fewshot, mtc_type) + "\n\n"
+    try:
+        state = hashlib.sha256(head.encode("utf-8"))
+    except UnicodeEncodeError:  # hashing a whole prompt raises, naming the place
+        state = None
+    return fewshot.__dict__.setdefault(_PREFIXES, {}).setdefault(key, (head, state))
+
+
+def _query(template: PromptTemplate, dug: Dug) -> str:
+    """The query block for ``dug``: the part of a prompt after its prefix."""
+    return template.query_format.replace("{text}", dug.text)

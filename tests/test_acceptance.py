@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import random
-import sys
 import time
 from pathlib import Path
 
@@ -193,10 +192,6 @@ REPLAY_EXPECTED = {
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# The bytes of the replay scenario's records and report. From Python 3.12
-# ``sum`` compensates rounding, which moves one macro mean by one unit in the
-# last place, so those versions write the ``_py312`` report.
-CRITERION7_REPORT = "criterion7_report_py312.json" if sys.version_info >= (3, 12) else "criterion7_report.json"
 
 
 @criterion(7, "replay extraction + eval: byte-identical across 3 runs and to the golden files, report matches oracle")
@@ -220,7 +215,7 @@ def test_criterion_07_replay_determinism(tmp_path):
     assert pred_files[0] == pred_files[1] == pred_files[2]
     assert report_files[0] == report_files[1] == report_files[2]
     assert pred_files[0] == (GOLDEN / "criterion7_predictions.jsonl").read_bytes()
-    assert report_files[0] == (GOLDEN / CRITERION7_REPORT).read_bytes()
+    assert report_files[0] == (GOLDEN / "criterion7_report.json").read_bytes()
 
     report = json.loads(report_files[0])
     records = [json.loads(line) for line in pred_files[0].decode().splitlines()]

@@ -26,7 +26,7 @@ from mtckit.icl import (
 
 import replay_scenario
 from conftest import make_dug, stratified_pool
-from test_acceptance import CRITERION7_REPORT, GOLDEN
+from test_acceptance import GOLDEN
 
 
 def run(capsys, argv):
@@ -402,7 +402,7 @@ def test_readme_quickstart_selects_extracts_and_scores(tmp_path, capsys):
     assert code == 0, err
     # The records and report do not depend on which examples the prompts showed.
     assert pred.read_bytes() == (GOLDEN / "criterion7_predictions.jsonl").read_bytes()
-    assert report.read_bytes() == (GOLDEN / CRITERION7_REPORT).read_bytes()
+    assert report.read_bytes() == (GOLDEN / "criterion7_report.json").read_bytes()
 
 
 def test_eval_text_table(tmp_path, pool, capsys):

@@ -67,9 +67,15 @@ def test_dug_validation():
         Dug("x", "nope", "text")
     with pytest.raises(ValueError):
         Dug("", "fda", "text")
-    for dug_id, text in ((5, "text"), ({"k": 1}, "text"), ("x", 5), ("x", None)):
-        with pytest.raises(ValueError, match="dug id and text must be strings"):
+    for dug_id, text, message in ((5, "text", "^dug id must be a string, got int$"),
+                                  ({"k": 1}, "text", "^dug id must be a string, got dict$"),
+                                  ("x", 5, "^dug text must be a string, got int$"),
+                                  ("x", None, "^dug text must be a string, got NoneType$")):
+        with pytest.raises(TypeError, match=message):
             Dug(dug_id, "fda", text)
+    for labels in (5, None, "3 times day", ["3 times day"], (grammar.parse_mtc("in morning"), 2)):
+        with pytest.raises(TypeError, match="^dug labels must be an iterable of MTC values, got "):
+            Dug("x", "fda", "text", labels)
 
 
 def test_load_reports_non_string_id_or_text_by_line(tmp_path):

@@ -34,6 +34,7 @@ from mtckit.icl import (
     InsufficientPoolError,
     PromptBuildError,
     PromptStrategy,
+    PromptTemplate,
     ReplayClient,
     ServiceError,
     StrategyMismatchError,
@@ -1135,3 +1136,115 @@ def test_fewshot_texts_embedding_corpus_texts_fail_their_records_never_make_them
             assert record["error"] == "PromptBuildError: query block must appear exactly once in the rendered prompt"
         else:
             assert record["error"] is None
+
+
+# ------------------------------------------- the query check and digests
+
+_QUERY_PIECES = ("Statement: ", "Statement:", "\nConstraints:", "\nConstraints: ", "\n\n", "\n", "NONE", " ")
+
+
+#: A template whose query is the bare text, which can end in the prefix's own blank line.
+_BARE = PromptTemplate("simple", "Header", "{text} {answer}", "{text}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["simple", "guided", "specialized", "bare"]), data=st.data())
+def test_query_in_head_rejects_exactly_the_prompts_the_count_rejects(kind, data):
+    examples = data.draw(st.lists(
+        st.lists(st.one_of(st.sampled_from(_QUERY_PIECES), st.text(max_size=6)), min_size=1, max_size=5)
+        .map("".join).filter(str.strip), min_size=1, max_size=3, unique=True,
+    ))
+    fewshot = fewshot_from_dugs([make_dug(f"f{i}", text, []) for i, text in enumerate(examples)])
+    pieces = st.one_of(st.sampled_from(_QUERY_PIECES), st.sampled_from(examples), st.text(max_size=6))
+    text = data.draw(st.lists(pieces, min_size=1, max_size=6).map("".join).filter(str.strip))
+    template = _BARE if kind == "bare" else default_template(kind)
+    dug = make_dug("q", text, [])
+    for t in PromptStrategy(template.strategy_kind).types or (None,):
+        head = prompts._prefix(template, fewshot, t)[0]
+        query = prompts._query(template, dug)
+        assert head == _reference_prompt(template, fewshot, dug, t)[: -len(query)]
+        if (head + query).count(query) != 1:
+            with pytest.raises(PromptBuildError):
+                build_prompt(template, fewshot, dug, t)
+        else:
+            assert build_prompt(template, fewshot, dug, t) == head + query
+
+
+def test_the_query_check_at_the_prefix_boundary():
+    # Every example answer is NONE, so the prefix and its blank line end "NONE\n\n".
+    fewshot = fewshot_from_dugs([make_dug("f", "example", [])])
+    straddling = make_dug("q", "E\n\nE\n\nE", [])  # also occurs three characters before its own start
+    prompt = build_prompt(_BARE, fewshot, straddling)
+    assert prompt.endswith("NONE\n\n" + straddling.text)
+    assert prompt.find(straddling.text) == len(prompt) - len(straddling.text) - 3
+    assert prompt.count(straddling.text) == 1
+    with pytest.raises(PromptBuildError):  # ends the prefix, then the prompt
+        build_prompt(_BARE, fewshot, make_dug("q", "NONE\n\n", []))
+
+
+class _Recording:
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return CompletionResponse("NONE")
+
+
+def _digest_or_error(read):
+    try:
+        return read()
+    except UnicodeEncodeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["simple", "guided", "specialized"]),
+    texts=st.lists(
+        st.one_of(st.text(min_size=1, max_size=12), st.sampled_from(_QUERY_PIECES),
+                  # lone surrogates too, which plain text() never draws
+                  st.text(st.characters(categories=["Cs", "Ll", "Zs"]), min_size=1, max_size=12)).filter(str.strip),
+        min_size=2, max_size=3, unique=True,
+    ),
+)
+def test_every_request_extract_sends_carries_the_digest_of_its_prompt(kind, texts):
+    *examples, text = texts
+    fewshot = fewshot_from_dugs([make_dug(f"f{i}", example, []) for i, example in enumerate(examples)])
+    dug = make_dug("q", text, [])  # its text is none of the examples', so it is not in the set
+    client = _Recording()
+    extract(dug, PromptStrategy(kind), fewshot, client)
+    for request in client.requests:
+        want = _digest_or_error(lambda: hashlib.sha256(request.prompt.encode("utf-8")).digest())
+        # A strict UTF-8 prompt comes with its digest; any other raises on each read.
+        assert ("fingerprint" in vars(request)) == isinstance(want, bytes)
+        assert _digest_or_error(lambda: request.fingerprint) == want
+
+
+def test_fingerprint_is_a_cached_digest_outside_equality_hash_and_repr():
+    request = CompletionRequest("a prompt")
+    twin = CompletionRequest("a prompt")
+    assert request.fingerprint == hashlib.sha256(b"a prompt").digest()
+    assert request.fingerprint is request.fingerprint
+    assert request == twin and hash(request) == hash(twin) and repr(request) == repr(twin)
+    assert "fingerprint" not in {f.name for f in fields(CompletionRequest)}
+    with pytest.raises(AttributeError):
+        request.fingerprint = b"x"
+
+
+@pytest.mark.parametrize("where", ["guideline", "fewshot"])
+def test_a_lone_surrogate_keeps_its_failed_replay_record(tmp_path, pool, where):
+    texts = {"guideline": "Take twice daily \udcff.", "fewshot": pool[0].text + " \udcff"}
+    fewshot = fewshot_from_dugs([replace(pool[0], text=texts["fewshot"]) if where == "fewshot" else pool[0], *pool[1:]])
+    dug = make_dug("q", texts["guideline"] if where == "guideline" else "Take twice daily.", [])
+    strategy = PromptStrategy.specialized()
+    prompt = build_prompt(default_template("specialized"), fewshot, dug, strategy.types[0])
+    client = ReplayClient(tmp_path / "fixtures.jsonl")
+    client.store("an unrelated prompt", "2 times day")
+    for run in range(2):  # cold, then with the prefix kept
+        record = extract(dug, strategy, fewshot, client)
+        assert record.raw_outputs == () and record.failed
+        assert record.error == (
+            "UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' "
+            f"in position {prompt.index(chr(0xDCFF))}: surrogates not allowed"
+        )
