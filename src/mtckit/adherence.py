@@ -104,7 +104,9 @@ def _instant(event: "TimelineEvent") -> timedelta:
 def _fixed_offset(value: datetime, what: str) -> datetime:
     """``value``'s wall clock at the fixed ``timezone`` of its UTC offset, so
     that subtracting and comparing it measure elapsed time."""
-    offset = value.utcoffset() if isinstance(value, datetime) else None
+    if not isinstance(value, datetime):
+        raise TypeError(f"{what} must be a datetime, got {type(value).__name__}")
+    offset = value.utcoffset()
     if offset is None:
         raise ValueError(f"{what} must be a datetime with a timezone, got {value!r}")
     return value if type(value.tzinfo) is timezone else value.replace(tzinfo=timezone(offset))
@@ -133,6 +135,9 @@ class TimelineEvent:
     Slotted, and its name comes from the memoized :func:`normalize_activity`,
     so events with the same activity share one name string. A timestamp whose
     ``tzinfo`` is not a fixed ``datetime.timezone`` is stored at its UTC offset.
+    A ``kind``, ``name`` or ``timestamp`` of the wrong type raises
+    ``TypeError`` naming it; an unknown kind or a timestamp without a
+    timezone, ``ValueError``.
     """
 
     kind: str
@@ -141,9 +146,11 @@ class TimelineEvent:
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
+            if not isinstance(self.kind, str):
+                raise TypeError(f"event kind must be a string, got {type(self.kind).__name__}")
             raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
         if not isinstance(self.name, str):
-            raise ValueError(f"event name must be a string, got {self.name!r}")
+            raise TypeError(f"event name must be a string, got {type(self.name).__name__}")
         ts = self.timestamp
         if not isinstance(ts, datetime) or type(ts.tzinfo) is not timezone:
             object.__setattr__(self, "timestamp", _fixed_offset(ts, "event timestamp"))
@@ -161,9 +168,9 @@ class Timeline:
     bisection, so events in several UTC offsets build as fast as events in
     one. The intakes and each activity name's events are indexed in the same
     build, so :meth:`intakes` and :meth:`activities` scan nothing. An open
-    window bound defaults to the events' span. Raises
-    ``ValueError`` for a bound without a timezone, a start after the end, or
-    no events and an open bound.
+    window bound defaults to the events' span. Raises ``TypeError`` for a
+    bound that is not a ``datetime``, and ``ValueError`` for a bound without
+    a timezone, a start after the end, or no events and an open bound.
     """
 
     events: tuple[TimelineEvent, ...]
@@ -220,7 +227,13 @@ def _event_row(line: str) -> TimelineEvent:
         record = json.loads(line)
         if not isinstance(record, dict):
             raise ValueError("record must be a JSON object")
-        return TimelineEvent(record["kind"], record["name"], parse_timestamp(record["timestamp"]))
+        kind, name = record["kind"], record["name"]
+        # Checked here, not left to TimelineEvent's TypeError: a bad line must stay a ValueError.
+        if not isinstance(kind, str):
+            raise ValueError(f"event kind must be a string, got {kind!r}")
+        if not isinstance(name, str):
+            raise ValueError(f"event name must be a string, got {name!r}")
+        return TimelineEvent(kind, name, parse_timestamp(record["timestamp"]))
     except (KeyError, ValueError, RecursionError) as exc:
         raise ValueError(f"bad timeline record: {exc}") from None
 

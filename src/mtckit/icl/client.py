@@ -45,9 +45,24 @@ API_KEY_ENV = "MTC_API_KEY"
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """One completion call's prompt and decoding settings.
+
+    Frozen, with the dataclass's ``==``, ``hash`` and ``repr``. One is
+    built per call, so its ``__init__`` is written out: it takes the
+    generated one's parameters and fills the instance ``__dict__``
+    directly, where the generated one of a frozen class sets each field
+    through ``object.__setattr__``.
+    """
+
     prompt: str
     temperature: float = 0.0
     max_tokens: int = 256
+
+    def __init__(self, prompt: str, temperature: float = 0.0, max_tokens: int = 256) -> None:
+        fields = self.__dict__
+        fields["prompt"] = prompt
+        fields["temperature"] = temperature
+        fields["max_tokens"] = max_tokens
 
     @cached_property
     def fingerprint(self) -> bytes:

@@ -60,7 +60,12 @@ class CandidateResult:
 
 @dataclass(frozen=True)
 class ExtractionRecord:
-    """Everything produced for one guideline, kept for audit."""
+    """Everything produced for one guideline, kept for audit.
+
+    Frozen, with the dataclass's ``==``, ``hash`` and ``repr``; its
+    ``__init__`` fills the instance ``__dict__`` directly, as
+    :class:`~mtckit.icl.client.CompletionRequest`'s does.
+    """
 
     dug_id: str
     strategy: str
@@ -70,6 +75,27 @@ class ExtractionRecord:
     mtcs: tuple[grammar.Mtc, ...] = ()
     off_type: tuple[str, ...] = ()
     error: str | None = None
+
+    def __init__(
+        self,
+        dug_id: str,
+        strategy: str,
+        raw_outputs: tuple[RawCall, ...] = (),
+        candidates: tuple[CandidateResult, ...] = (),
+        predictions: tuple[str, ...] = (),
+        mtcs: tuple[grammar.Mtc, ...] = (),
+        off_type: tuple[str, ...] = (),
+        error: str | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["dug_id"] = dug_id
+        fields["strategy"] = strategy
+        fields["raw_outputs"] = raw_outputs
+        fields["candidates"] = candidates
+        fields["predictions"] = predictions
+        fields["mtcs"] = mtcs
+        fields["off_type"] = off_type
+        fields["error"] = error
 
     @property
     def failed(self) -> bool:

@@ -67,7 +67,8 @@ class FewShotPair:
 _PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
 
 #: Key of a few-shot set's rendered prompt prefixes, with their sha256
-#: states, by (template header, example format, type), in its ``__dict__``.
+#: states and query indexes, by (template header, example format, query
+#: format, type), in its ``__dict__``.
 #: It is not a dataclass field, so equality, hashing and repr ignore it.
 _PREFIXES = "_prefixes"
 

@@ -24,9 +24,12 @@ constraint type, so it is rendered once per such key and kept on the
 few-shot set, which frees it with the set. With it is kept the sha256
 state of its UTF-8 bytes and the separator before the query, so a
 prompt's replay fingerprint hashes only the query's bytes on top of a
-copy of that state. Each :func:`build_prompt` call then validates its
-arguments, fills the query, checks it against the kept prefix alone and
-appends it.
+copy of that state, and an index of the places where the query format's
+leading literal (``"Statement: "`` in the shipped templates) starts in
+the prefix. Each :func:`build_prompt` call then validates its arguments,
+fills the query, checks that it does not occur in the kept prefix by
+comparing it only at the places the index lists for its first
+characters, and appends it.
 """
 
 from __future__ import annotations
@@ -231,30 +234,51 @@ def build_prompt(
     elif mtc_type is not None:
         raise StrategyMismatchError(f"{template.strategy_kind} template takes no mtc_type")
 
-    head = _prefix(template, fewshot, mtc_type)[0]
+    head, _, width, index = _prefix(template, fewshot, mtc_type)
     query = _query(template, dug)
-    # The same test as ``(head + query).count(query) != 1`` without scanning
-    # the query part. The query is not empty (a guideline's text never is)
-    # and ends the prompt. If it occurs inside ``head``, the count's first
-    # match ends inside ``head`` too, before the final occurrence starts, so
-    # the count reaches 2. Otherwise every other occurrence straddles the
-    # boundary and overlaps the final one: the count takes the first of them
-    # in place of the final one and stays 1.
-    if query in head:
+    # Refused exactly when ``(head + query).count(query) != 1``. The query
+    # is not empty (a guideline's text never is) and ends the prompt. If it
+    # occurs inside ``head``, the count's first match ends inside ``head``
+    # too, before the final occurrence starts, so the count reaches 2.
+    # Otherwise every other occurrence straddles the boundary and overlaps
+    # the final one: the count takes the first of them in place of the
+    # final one and stays 1. The query begins with the query format's
+    # leading literal, so an occurrence at ``p`` inside ``head`` is a place
+    # of that literal, and ``p + len(query) <= len(head)``. When the query
+    # has ``width`` characters or more, the index therefore lists ``p``
+    # under ``query[:width]``, and comparing at those places alone finds
+    # every occurrence. A shorter query is looked for in all of ``head``.
+    if index is None or len(query) < width:
+        clash = query in head
+    else:
+        places = index.get(query[:width])
+        clash = places is not None and any(head.startswith(query, place) for place in places)
+    if clash:
         raise PromptBuildError("query block must appear exactly once in the rendered prompt")
     return head + query
 
 
-def _prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> tuple:
-    """``(head, state)`` kept on ``fewshot``: the prefix and the blank line after it, and their sha256.
+#: How many characters after the query format's leading literal a prefix's
+#: index groups the literal's places by.
+_INDEX_WIDTH = 16
 
-    ``state`` hashes the UTF-8 bytes of ``head``, or is ``None`` when
-    ``head`` is not strict UTF-8 (a lone surrogate). It is only ever copied,
-    never updated, so threads share it. Entries are keyed by the template
-    fields the prefix is rendered from, a tuple hashed in C; two threads
-    racing on a first render store equal entries.
+
+def _prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> tuple:
+    """``(head, state, width, index)`` kept on ``fewshot`` for one template and type.
+
+    ``head`` is the prefix and the blank line after it. ``state`` hashes
+    the UTF-8 bytes of ``head``, or is ``None`` when ``head`` is not strict
+    UTF-8 (a lone surrogate). It is only ever copied, never updated, so
+    threads share it. ``width`` is the length of the query format's leading
+    literal (its text before ``{text}``) plus ``_INDEX_WIDTH``. ``index``
+    lists each place where the literal starts in ``head`` under the
+    ``width`` characters from there, leaving out places closer than that to
+    the end; it is ``None`` when the literal is empty. Entries are keyed by
+    the template fields they are built from, a tuple hashed in C; each is
+    complete before it is stored, so two threads racing on a first render
+    store equal entries.
     """
-    key = (template.header, template.example_format, mtc_type)
+    key = (template.header, template.example_format, template.query_format, mtc_type)
     try:
         return fewshot.__dict__[_PREFIXES][key]
     except KeyError:
@@ -266,7 +290,16 @@ def _prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None)
         state = hashlib.sha256(head.encode("utf-8"))
     except UnicodeEncodeError:  # hashing a whole prompt raises, naming the place
         state = None
-    return fewshot.__dict__.setdefault(_PREFIXES, {}).setdefault(key, (head, state))
+    literal = template.query_format[: template.query_format.index("{text}")]
+    width = len(literal) + _INDEX_WIDTH
+    index: dict[str, list[int]] | None = None
+    if literal:
+        index = {}
+        place = head.find(literal)
+        while 0 <= place <= len(head) - width:
+            index.setdefault(head[place : place + width], []).append(place)
+            place = head.find(literal, place + 1)
+    return fewshot.__dict__.setdefault(_PREFIXES, {}).setdefault(key, (head, state, width, index))
 
 
 def _query(template: PromptTemplate, dug: Dug) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import re
 import time
 import zoneinfo
 from dataclasses import fields
@@ -652,7 +653,7 @@ def test_event_validation_and_name_normalization():
     with pytest.raises(ValueError):
         TimelineEvent("nap", "sleep", ts(0, 22))
     for name in (5, ["sleep"], None):
-        with pytest.raises(ValueError, match="name must be a string"):
+        with pytest.raises(TypeError, match=f"^event name must be a string, got {type(name).__name__}$"):
             TimelineEvent("activity", name, ts(0, 22))
 
 
@@ -663,7 +664,7 @@ class _NoOffset(tzinfo):
 
 def test_event_rejects_naive_timestamp():
     at = datetime(2026, 3, 2, 8, 0)
-    for naive in (at, at.replace(tzinfo=_NoOffset()), at.isoformat() + "+00:00"):
+    for naive in (at, at.replace(tzinfo=_NoOffset())):
         with pytest.raises(ValueError, match="must be a datetime with a timezone"):
             TimelineEvent("intake", "m", naive)
 
@@ -671,11 +672,38 @@ def test_event_rejects_naive_timestamp():
 def test_build_rejects_window_bound_without_timezone():
     event = TimelineEvent("intake", "m", datetime(2026, 3, 2, 8, 0, tzinfo=timezone.utc))
     naive = datetime(2026, 3, 2)
-    for window in ((naive, None), (None, naive), (naive.replace(tzinfo=_NoOffset()), None), ("2026-03-02", None)):
+    for window in ((naive, None), (None, naive), (naive.replace(tzinfo=_NoOffset()), None)):
         with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
             Timeline.build([event], window)
         with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
             Timeline((event,), window)
+
+
+@pytest.mark.parametrize(
+    "kind, name, timestamp, message",
+    [
+        ("intake", 5, ts(0, 8), "event name must be a string, got int"),
+        ("activity", None, ts(0, 8), "event name must be a string, got NoneType"),
+        (5, "m", ts(0, 8), "event kind must be a string, got int"),
+        (["intake"], "m", ts(0, 8), "event kind must be a string, got list"),
+        ("intake", "m", "2026-03-02T08:00:00+00:00", "event timestamp must be a datetime, got str"),
+        ("intake", "m", ts(0, 8).timestamp(), "event timestamp must be a datetime, got float"),
+        ("intake", "m", ts(0, 8).date(), "event timestamp must be a datetime, got date"),
+    ],
+)
+def test_wrong_typed_event_field_raises_type_error_naming_it(kind, name, timestamp, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        TimelineEvent(kind, name, timestamp)
+
+
+@pytest.mark.parametrize(
+    "window, got",
+    [((1, 2), "int"), (("2026-03-02", None), "str"), ((None, BASE_TS.date()), "date"), ((BASE_TS, 0.5), "float")],
+)
+def test_wrong_typed_window_bound_raises_type_error(window, got):
+    events = [TimelineEvent("intake", "m", BASE_TS)] if None in window else []  # an open bound needs events
+    with pytest.raises(TypeError, match=f"^window bound must be a datetime, got {got}$"):
+        Timeline(events, window)
 
 
 def test_event_is_slotted_and_keeps_value_semantics():

@@ -478,6 +478,16 @@ def test_adhere_malformed_timeline_exits_one(tmp_path, capsys):
     assert f"{events}:1: bad timeline record" in err
 
 
+@pytest.mark.parametrize("field, value", [("kind", 5), ("name", 5), ("name", None), ("name", ["m"])])
+def test_adhere_wrong_typed_timeline_field_exits_one_naming_the_line(tmp_path, capsys, field, value):
+    record = {"kind": "intake", "name": "m", "timestamp": "2026-03-02T08:00:00Z", field: value}
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, ["adhere", "--mtc", "2 times day", "--timeline", str(events)])
+    assert code == 1 and "Traceback" not in err
+    assert f"{events}:1: bad timeline record: event {field} must be a string, got {value!r}" in err
+
+
 def test_adhere_deeply_nested_timeline_exits_one(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     events.write_text("[" * 100_000 + "\n", encoding="utf-8")

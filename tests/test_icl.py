@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import importlib
@@ -15,7 +16,7 @@ import sys
 import threading
 import time
 import weakref
-from dataclasses import fields, replace
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, fields, replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -27,14 +28,17 @@ import mtckit
 from mtckit import FileFormatError, grammar
 from mtckit.icl import (
     SPECIALIZED_DEFAULT_TYPES,
+    CandidateResult,
     CompletionRequest,
     CompletionResponse,
+    ExtractionRecord,
     FewShotLeakageError,
     HttpCompletionClient,
     InsufficientPoolError,
     PromptBuildError,
     PromptStrategy,
     PromptTemplate,
+    RawCall,
     ReplayClient,
     ServiceError,
     StrategyMismatchError,
@@ -1146,18 +1150,34 @@ _QUERY_PIECES = ("Statement: ", "Statement:", "\nConstraints:", "\nConstraints: 
 #: A template whose query is the bare text, which can end in the prefix's own blank line.
 _BARE = PromptTemplate("simple", "Header", "{text} {answer}", "{text}")
 
+#: A template whose header holds its query's leading literal, and whose every
+#: example block ends in the literal and a text, so with a short text the
+#: literal starts within the prefix's last ``_INDEX_WIDTH`` characters.
+_QUOTING = PromptTemplate("simple", "Header. Q: a query of sorts", "{answer} Q: {text}", "Q: {text}")
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["simple", "guided", "specialized", "bare"]), data=st.data())
+_WIDTH = prompts._INDEX_WIDTH
+
+#: Longer than the index's key, so texts built on it share their first characters.
+_STEM = "Take one tablet by mouth, "
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["simple", "guided", "specialized", "bare", "quoting"]), data=st.data())
 def test_query_in_head_rejects_exactly_the_prompts_the_count_rejects(kind, data):
     examples = data.draw(st.lists(
-        st.lists(st.one_of(st.sampled_from(_QUERY_PIECES), st.text(max_size=6)), min_size=1, max_size=5)
+        st.lists(st.one_of(st.sampled_from(_QUERY_PIECES + (_STEM,)), st.text(max_size=6)), min_size=1, max_size=5)
         .map("".join).filter(str.strip), min_size=1, max_size=3, unique=True,
     ))
     fewshot = fewshot_from_dugs([make_dug(f"f{i}", text, []) for i, text in enumerate(examples)])
-    pieces = st.one_of(st.sampled_from(_QUERY_PIECES), st.sampled_from(examples), st.text(max_size=6))
-    text = data.draw(st.lists(pieces, min_size=1, max_size=6).map("".join).filter(str.strip))
-    template = _BARE if kind == "bare" else default_template(kind)
+    pieces = st.one_of(st.sampled_from(_QUERY_PIECES + (_STEM,)), st.sampled_from(examples), st.text(max_size=6))
+    texts = st.one_of(
+        st.lists(pieces, min_size=1, max_size=6).map("".join),
+        st.text(max_size=_WIDTH - 1),  # shorter than the index's key
+        # a few-shot text's first characters, then others
+        st.builds(lambda example, tail: example[:_WIDTH] + tail, st.sampled_from(examples), pieces),
+    )
+    text = data.draw(texts.filter(str.strip))
+    template = {"bare": _BARE, "quoting": _QUOTING}.get(kind) or default_template(kind)
     dug = make_dug("q", text, [])
     for t in PromptStrategy(template.strategy_kind).types or (None,):
         head = prompts._prefix(template, fewshot, t)[0]
@@ -1168,6 +1188,38 @@ def test_query_in_head_rejects_exactly_the_prompts_the_count_rejects(kind, data)
                 build_prompt(template, fewshot, dug, t)
         else:
             assert build_prompt(template, fewshot, dug, t) == head + query
+
+
+def test_the_index_lists_every_place_of_the_literal_by_what_follows():
+    fewshot = fewshot_from_dugs([make_dug("f1", _STEM + "one", []), make_dug("f2", _STEM + "two", [])])
+    template = default_template("simple")
+    head, _, width, index = prompts._prefix(template, fewshot, None)
+    literal = "Statement: "
+    assert width == len(literal) + _WIDTH
+    places = [p for p in range(len(head) - width + 1) if head.startswith(literal, p)]
+    assert sorted(p for listed in index.values() for p in listed) == places
+    assert all(head[p : p + width] == key for key, listed in index.items() for p in listed)
+    assert len(index[literal + _STEM[:_WIDTH]]) == 2  # both examples under one key
+    for text, refused in ((_STEM + "two", True), (_STEM + "three", False), (_STEM, False), (_STEM[:_WIDTH], False)):
+        dug = make_dug("q", text, [])
+        if refused:
+            with pytest.raises(PromptBuildError):
+                build_prompt(template, fewshot, dug)
+        else:
+            assert build_prompt(template, fewshot, dug) == _reference_prompt(template, fewshot, dug, None)
+    assert prompts._prefix(_BARE, fewshot, None)[3] is None  # no literal, no index
+    # The last place that can hold a whole query: one of exactly ``width``
+    # characters that ends the prefix, blank line and all.
+    tail = "e" * (_WIDTH - 2)
+    fewshot = fewshot_from_dugs([make_dug("f", tail, [])])
+    assert prompts._prefix(_QUOTING, fewshot, None)[0].endswith("Q: " + tail + "\n\n")
+    with pytest.raises(PromptBuildError):
+        build_prompt(_QUOTING, fewshot, make_dug("q", tail + "\n\n", []))
+    # A literal that overlaps itself: ">>>" holds it at two places.
+    arrows = PromptTemplate("simple", "Header", "{answer} >>{text}", ">>{text}")
+    fewshot = fewshot_from_dugs([make_dug("f", ">" + _STEM, [])])
+    with pytest.raises(PromptBuildError):
+        build_prompt(arrows, fewshot, make_dug("q", _STEM, []))
 
 
 def test_the_query_check_at_the_prefix_boundary():
@@ -1230,6 +1282,81 @@ def test_fingerprint_is_a_cached_digest_outside_equality_hash_and_repr():
     assert "fingerprint" not in {f.name for f in fields(CompletionRequest)}
     with pytest.raises(AttributeError):
         request.fingerprint = b"x"
+
+
+# ------------------------------------- the written-out dataclass __init__s
+
+#: Each class whose ``__init__`` is written out, with one value for every field.
+_WRITTEN_INIT = {
+    CompletionRequest: ("a prompt", 0.5, 64),
+    ExtractionRecord: (
+        "d1", "specialized", (RawCall("2 times day", 2),), (CandidateResult("2 times day", True),),
+        ("2 times day",), (grammar.parse_mtc("2 times day"),), ("before sleep",), "an error",
+    ),
+}
+
+
+def _generated(cls):
+    """A frozen dataclass of ``cls``'s name and fields, with the generated ``__init__``."""
+    namespace = {"__annotations__": {f.name: f.type for f in fields(cls)}}
+    namespace.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+    return dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _state(value) -> tuple:
+    return type(value).__name__, repr(value), hash(value), vars(value)
+
+
+@pytest.mark.parametrize("cls", list(_WRITTEN_INIT), ids=lambda c: c.__name__)
+def test_written_init_has_the_generated_signature(cls):
+    assert "__init__" in vars(cls)
+    ours = list(inspect.signature(cls.__init__).parameters.values())
+    generated = list(inspect.signature(_generated(cls).__init__).parameters.values())
+    assert ours == generated
+    assert [p.name for p in ours[1:]] == [f.name for f in fields(cls)]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in ours)
+
+
+@pytest.mark.parametrize("cls", list(_WRITTEN_INIT), ids=lambda c: c.__name__)
+def test_written_init_keeps_the_generated_value_semantics(cls):
+    reference, values = _generated(cls), _WRITTEN_INIT[cls]
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    calls = [  # positional, keyword, mixed and defaults
+        (values, {}), ((), dict(zip(names, values))), (values[:1], dict(zip(names[1:], values[1:]))),
+        (values[: len(required)], {}),
+    ]
+    for args, kwargs in calls:
+        value, twin = cls(*args, **kwargs), reference(*args, **kwargs)
+        assert _state(value) == _state(twin)
+        assert value == cls(*args, **kwargs) and value != cls(*values[:-1], "other")
+        assert _state(replace(value, **{names[0]: "changed"})) == _state(replace(twin, **{names[0]: "changed"}))
+        assert asdict(value) == asdict(twin)
+        for duplicate in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert duplicate is not value and _state(duplicate) == _state(value)
+        for field in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field, values[0])
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, field)
+    for args, kwargs in (((), {"unknown": 1, **dict(zip(required, values))}), (values + (None,), {}), ((), {})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            reference(*args, **kwargs)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_request_copies_keep_a_fingerprint_only_once_read(read):
+    request = CompletionRequest("a prompt", 0.5, 64)
+    if read:
+        assert request.fingerprint == hashlib.sha256(b"a prompt").digest()
+    for duplicate in (copy.copy(request), pickle.loads(pickle.dumps(request))):
+        assert duplicate == request and ("fingerprint" in vars(duplicate)) == read
+        assert duplicate.fingerprint == hashlib.sha256(b"a prompt").digest()
+    changed = replace(request, prompt="another prompt")
+    assert "fingerprint" not in vars(changed)
+    assert changed.fingerprint == hashlib.sha256(b"another prompt").digest()
 
 
 @pytest.mark.parametrize("where", ["guideline", "fewshot"])
