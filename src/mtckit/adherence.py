@@ -178,11 +178,12 @@ class Timeline:
 
     def __post_init__(self) -> None:
         ordered = sorted(self.events, key=lambda e: (e.timestamp - _EPOCH, e.timestamp.utcoffset(), e.kind, e.name))
-        start, end = self.window
+        start, end = self.window  # each given bound checked before an open one is refused
+        start, end = (None if bound is None else _fixed_offset(bound, "window bound") for bound in (start, end))
         if not ordered and (start is None or end is None):
             raise ValueError("an empty timeline needs an explicit window")
-        start = ordered[0].timestamp if start is None else _fixed_offset(start, "window bound")
-        end = ordered[-1].timestamp if end is None else _fixed_offset(end, "window bound")
+        start = ordered[0].timestamp if start is None else start
+        end = ordered[-1].timestamp if end is None else end
         earliest, latest = start - _EPOCH, end - _EPOCH
         if earliest > latest:
             raise ValueError("window start is after window end")

@@ -191,7 +191,8 @@ class HttpCompletionClient:
 
     Server errors (5xx) and transport failures are retried up to
     ``max_attempts`` with backoff ``backoff * 2**attempt`` seconds; client
-    errors (4xx) fail immediately. ``max_attempts`` below 1 raises ``ValueError``.
+    errors (4xx) and redirects (3xx, never followed) fail immediately.
+    ``max_attempts`` below 1 raises ``ValueError``.
     """
 
     def __init__(
@@ -261,7 +262,7 @@ class HttpCompletionClient:
         for attempt in range(1, self.max_attempts + 1):
             try:
                 response = self._session.post(
-                    self.base_url, json=body, headers=headers, timeout=self.timeout
+                    self.base_url, json=body, headers=headers, timeout=self.timeout, allow_redirects=False
                 )
             except requests.RequestException as exc:
                 last_error = ServiceError(f"request failed: {exc}", attempt=attempt)
@@ -275,6 +276,12 @@ class HttpCompletionClient:
                 elif response.status_code >= 400:
                     raise ServiceError(
                         f"client error {response.status_code}: {response.text[:200]}",
+                        status=response.status_code,
+                        attempt=attempt,
+                    )
+                elif response.status_code >= 300:  # followed, a POST would come back as a GET's answer
+                    raise ServiceError(
+                        f"redirect {response.status_code} to {response.headers.get('Location')!r} not followed",
                         status=response.status_code,
                         attempt=attempt,
                     )

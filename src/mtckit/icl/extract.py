@@ -9,14 +9,14 @@ precision stays meaningful while nothing is lost for audit. A failed
 service call, or a prompt that does not render (:class:`PromptBuildError`),
 marks the record failed; results are never fabricated.
 
-:func:`iter_extract_corpus` is the one corpus entry point, and every
-prompt renders the template shipped for the strategy kind. Each request
-comes with its :attr:`~mtckit.icl.client.CompletionRequest.fingerprint`,
-hashed from a copy of the kept prefix's hash state and the query's bytes,
-which are encoded once per guideline. :func:`_judge`
-memoizes the judgement (normalize, parse, off-type split) of an answer to a
-probe type: the one per-answer memo on this path, which pays only when
-answers repeat, as replayed or canned ones over a narrow label space do.
+:func:`iter_extract_corpus` is the one corpus entry point. Each guideline
+reads its strategy's prompt plan, kept on the few-shot set (the template
+shipped for the strategy kind and each probe's prefix entry), and fills its
+query once; each call then checks the query against its prefix, appends
+it, and seeds the request's fingerprint from a copy of the prefix's hash
+state and the query's bytes. :func:`_judge` memoizes the judgement
+(normalize, parse, off-type split) of an answer to a probe type: the one
+per-answer memo on this path, which pays only when answers repeat.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..dataset import Dug
 from ..normalize import NORMALIZE_CACHE_SIZE, normalize_raw_output
 from .client import CompletionClient, CompletionRequest, ServiceError
 from .fewshot import FewShotSet
-from .prompts import PromptBuildError, PromptStrategy, _prefix, _query, build_prompt, default_template
+from .prompts import PromptBuildError, PromptStrategy, _join, _plan, _query
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -136,32 +136,31 @@ def extract(
     """
     if dug in fewshot:
         raise FewShotLeakageError(f"guideline {dug.id!r} is in the few-shot set by id or text")
-    template = default_template(strategy.kind)
-
-    probe_types: tuple[int | None, ...] = strategy.types if strategy.kind == "specialized" else (None,)
+    template, probes = _plan(strategy, fewshot, dug)
+    query = _query(template, dug)
     try:
-        query = _query(template, dug).encode("utf-8")
+        encoded = query.encode("utf-8")
     except UnicodeEncodeError:  # left to the fingerprint's own read, which names the place in the prompt
-        query = None
+        encoded = None
     raw_outputs: list[RawCall] = []
     candidates: list[CandidateResult] = []
     predictions: list[str] = []
     parsed: list[grammar.Mtc] = []
     off_type: list[str] = []
     error: str | None = None
-    for probe in probe_types:
+    for probe, entry in probes:
         try:
-            prompt = build_prompt(template, fewshot, dug, mtc_type=probe)
+            prompt = _join(entry, query)
         except PromptBuildError as exc:  # a few-shot text that holds this guideline's query block
             error = f"{type(exc).__name__}: {exc}"
             break
         request = CompletionRequest(prompt, temperature=temperature, max_tokens=max_tokens)
-        state = _prefix(template, fewshot, probe)[1]
-        if state is not None and query is not None:
+        state = entry[1]
+        if state is not None and encoded is not None:
             # The prompt is the kept prefix, then the query: seed its
             # fingerprint from the prefix's hash without hashing it again.
             digest = state.copy()
-            digest.update(query)
+            digest.update(encoded)
             request.__dict__["fingerprint"] = digest.digest()
         try:
             response = client.complete(request)

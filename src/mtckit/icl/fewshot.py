@@ -66,9 +66,8 @@ class FewShotPair:
 
 _PAIRED_STRATA = ("empty", "nonempty", "single", "multiple", "simple", "difficult")
 
-#: Key of a few-shot set's rendered prompt prefixes, with their sha256
-#: states and query indexes, by (template header, example format, query
-#: format, type), in its ``__dict__``.
+#: Key, in a few-shot set's ``__dict__``, of the prompt prefix entries
+#: (``prompts._prefix``) and prompt plans (``prompts._plan``) kept for it.
 #: It is not a dataclass field, so equality, hashing and repr ignore it.
 _PREFIXES = "_prefixes"
 
@@ -82,11 +81,10 @@ class FewShotSet:
     ``ids`` and ``texts``: such a guideline is barred from extraction, since its
     query would repeat an example. ``gaps`` names the paired strata no pair
     covers. All three are settled once, at construction.
-    :func:`~mtckit.icl.prompts.build_prompt` keeps the prompt prefixes it
-    renders for a set, and the hash state of each, in that set's
-    ``__dict__``, so they live exactly as long as the set. A pickled set
-    leaves them out: they are rendered from the package data of the process
-    that built them, and hash states do not pickle.
+    The prompt prefixes, their hash states and the prompt plans rendered
+    for a set are kept in its ``__dict__``, so they live as long as the set.
+    A pickled set leaves them out: they are rendered from the package data
+    of the process that built them, and hash states do not pickle.
     """
 
     pairs: tuple[FewShotPair, ...]

@@ -21,15 +21,15 @@ Everything before the query (the header with its grammar, activity and
 type-guide slots filled, plus every few-shot example block) depends only
 on the template's header and example format, the few-shot set and the
 constraint type, so it is rendered once per such key and kept on the
-few-shot set, which frees it with the set. With it is kept the sha256
-state of its UTF-8 bytes and the separator before the query, so a
-prompt's replay fingerprint hashes only the query's bytes on top of a
-copy of that state, and an index of the places where the query format's
-leading literal (``"Statement: "`` in the shipped templates) starts in
-the prefix. Each :func:`build_prompt` call then validates its arguments,
-fills the query, checks that it does not occur in the kept prefix by
-comparing it only at the places the index lists for its first
-characters, and appends it.
+few-shot set, which frees it with the set. With it are kept the sha256
+state of its UTF-8 bytes and the blank line after it, on which a replay
+fingerprint hashes only the query, and an index of the places where the
+query format's leading literal (``"Statement: "``) starts in it. Beside
+those entries the set keeps one plan per strategy: its shipped template
+and each probe's entry, checked once. :func:`build_prompt` checks its
+arguments and looks up its entry on every call; extraction reads the plan
+once per guideline, fills the query once, and per probe only checks it
+against the index and appends it.
 """
 
 from __future__ import annotations
@@ -220,6 +220,11 @@ def build_prompt(
     description and filters example answers) and forbidden otherwise. A
     ``template``, ``fewshot`` or ``dug`` of another type raises ``TypeError``.
     """
+    return _join(_checked_prefix(template, fewshot, dug, mtc_type), _query(template, dug))
+
+
+def _checked_prefix(template: PromptTemplate, fewshot: FewShotSet, dug: Dug, mtc_type: int | None) -> tuple:
+    """The :func:`_prefix` entry for :func:`build_prompt`'s arguments, once they pass its checks."""
     if not isinstance(template, PromptTemplate):
         raise TypeError(f"template must be a PromptTemplate, got {type(template).__name__}")
     if not isinstance(fewshot, FewShotSet):
@@ -233,21 +238,20 @@ def build_prompt(
             raise StrategyMismatchError(f"no type guide for constraint type {mtc_type}")
     elif mtc_type is not None:
         raise StrategyMismatchError(f"{template.strategy_kind} template takes no mtc_type")
+    return _prefix(template, fewshot, mtc_type)
 
-    head, _, width, index = _prefix(template, fewshot, mtc_type)
-    query = _query(template, dug)
+
+def _join(entry: tuple, query: str) -> str:
+    """The prompt of a prefix entry and a query block; a query that occurs in the prefix raises."""
+    head, _, width, index = entry
     # Refused exactly when ``(head + query).count(query) != 1``. The query
-    # is not empty (a guideline's text never is) and ends the prompt. If it
-    # occurs inside ``head``, the count's first match ends inside ``head``
-    # too, before the final occurrence starts, so the count reaches 2.
-    # Otherwise every other occurrence straddles the boundary and overlaps
-    # the final one: the count takes the first of them in place of the
-    # final one and stays 1. The query begins with the query format's
-    # leading literal, so an occurrence at ``p`` inside ``head`` is a place
-    # of that literal, and ``p + len(query) <= len(head)``. When the query
-    # has ``width`` characters or more, the index therefore lists ``p``
-    # under ``query[:width]``, and comparing at those places alone finds
-    # every occurrence. A shorter query is looked for in all of ``head``.
+    # is not empty and ends the prompt. An occurrence inside ``head`` ends
+    # before the final one starts, so the count reaches 2; any other one
+    # straddles the boundary and overlaps the final one, which the count
+    # then skips, so it stays 1. An occurrence at ``p`` inside ``head``
+    # starts with the query format's leading literal and ends by the end of
+    # ``head``, so for a query of ``width`` characters or more the index
+    # lists ``p`` under ``query[:width]``. A shorter one is sought in all of ``head``.
     if index is None or len(query) < width:
         clash = query in head
     else:
@@ -258,6 +262,23 @@ def build_prompt(
     return head + query
 
 
+def _plan(strategy: PromptStrategy, fewshot: FewShotSet, dug: Dug) -> tuple:
+    """``(template, ((probe, prefix entry), ...))`` kept on ``fewshot`` for ``strategy``.
+
+    Keyed by ``(kind, types)`` beside the prefix entries, built through
+    :func:`build_prompt`'s checks and stored whole, so racing threads store
+    equal plans. Only a ``Dug`` gets a kept plan; anything else is checked.
+    """
+    try:
+        if isinstance(dug, Dug):
+            return fewshot.__dict__[_PREFIXES][strategy.kind, strategy.types]
+    except (AttributeError, KeyError):  # a cold set, or no set at all: the checks below say which
+        pass
+    template = default_template(strategy.kind)
+    plan = (template, tuple((t, _checked_prefix(template, fewshot, dug, t)) for t in strategy.types or (None,)))
+    return fewshot.__dict__.setdefault(_PREFIXES, {}).setdefault((strategy.kind, strategy.types), plan)
+
+
 #: How many characters after the query format's leading literal a prefix's
 #: index groups the literal's places by.
 _INDEX_WIDTH = 16
@@ -266,17 +287,14 @@ _INDEX_WIDTH = 16
 def _prefix(template: PromptTemplate, fewshot: FewShotSet, mtc_type: int | None) -> tuple:
     """``(head, state, width, index)`` kept on ``fewshot`` for one template and type.
 
-    ``head`` is the prefix and the blank line after it. ``state`` hashes
-    the UTF-8 bytes of ``head``, or is ``None`` when ``head`` is not strict
-    UTF-8 (a lone surrogate). It is only ever copied, never updated, so
-    threads share it. ``width`` is the length of the query format's leading
-    literal (its text before ``{text}``) plus ``_INDEX_WIDTH``. ``index``
-    lists each place where the literal starts in ``head`` under the
-    ``width`` characters from there, leaving out places closer than that to
-    the end; it is ``None`` when the literal is empty. Entries are keyed by
-    the template fields they are built from, a tuple hashed in C; each is
-    complete before it is stored, so two threads racing on a first render
-    store equal entries.
+    ``head`` is the prefix and the blank line after it. ``state`` hashes its
+    UTF-8 bytes (``None`` when it is not strict UTF-8) and is only ever
+    copied, so threads share it. ``index`` lists each place where the query
+    format's leading literal (its text before ``{text}``) starts in ``head``
+    under the ``width`` characters from there, the literal's length plus
+    ``_INDEX_WIDTH``, leaving out places closer than that to the end; it is
+    ``None`` for an empty literal. Entries are keyed by the template fields
+    they are built from and stored whole, so racing threads store equal ones.
     """
     key = (template.header, template.example_format, template.query_format, mtc_type)
     try:

@@ -675,8 +675,9 @@ def test_build_rejects_window_bound_without_timezone():
     for window in ((naive, None), (None, naive), (naive.replace(tzinfo=_NoOffset()), None)):
         with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
             Timeline.build([event], window)
-        with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
-            Timeline((event,), window)
+        for events in ((event,), ()):  # the bound is named before an empty timeline's open bound
+            with pytest.raises(ValueError, match="window bound must be a datetime with a timezone"):
+                Timeline(events, window)
 
 
 @pytest.mark.parametrize(
@@ -701,9 +702,10 @@ def test_wrong_typed_event_field_raises_type_error_naming_it(kind, name, timesta
     [((1, 2), "int"), (("2026-03-02", None), "str"), ((None, BASE_TS.date()), "date"), ((BASE_TS, 0.5), "float")],
 )
 def test_wrong_typed_window_bound_raises_type_error(window, got):
-    events = [TimelineEvent("intake", "m", BASE_TS)] if None in window else []  # an open bound needs events
-    with pytest.raises(TypeError, match=f"^window bound must be a datetime, got {got}$"):
-        Timeline(events, window)
+    # Without events too: a given bound is checked before an open one is refused.
+    for events in ([TimelineEvent("intake", "m", BASE_TS)], []):
+        with pytest.raises(TypeError, match=f"^window bound must be a datetime, got {got}$"):
+            Timeline(events, window)
 
 
 def test_event_is_slotted_and_keeps_value_semantics():

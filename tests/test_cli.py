@@ -722,8 +722,8 @@ class _FakeSession:
 
     posts: list = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        _FakeSession.posts.append({"url": url, "json": json, "timeout": timeout})
+    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
+        _FakeSession.posts.append({"url": url, "json": json, "timeout": timeout, "allow_redirects": allow_redirects})
         return SimpleNamespace(status_code=200, json=lambda: {"text": "NONE"})
 
 
@@ -741,6 +741,7 @@ def _http_extract(tmp_path, pool, *extra):
 def test_extract_http_defaults(tmp_path, pool, capsys):
     post = _http_extract(tmp_path, pool, "--base-url", "http://flag.invalid/v1")
     assert post["url"] == "http://flag.invalid/v1" and post["timeout"] == 60.0
+    assert post["allow_redirects"] is False
     assert post["json"]["model"] == "" and "prompt" in post["json"]
     assert post["json"]["temperature"] == 0.0 and post["json"]["max_tokens"] == 256
 

@@ -18,6 +18,7 @@ import time
 import weakref
 from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -429,6 +430,9 @@ def test_pickled_fewshot_set_leaves_its_prefixes_behind(pool):
     for t in SPECIALIZED_DEFAULT_TYPES:
         build_prompt(template, fewshot, dug, t)
     assert len(pickle.dumps(fewshot)) == size
+    extract(dug, PromptStrategy.specialized(), fewshot, _Echo())  # keeps a plan beside the prefixes
+    assert ("specialized", SPECIALIZED_DEFAULT_TYPES) in vars(fewshot)["_prefixes"]
+    assert len(pickle.dumps(fewshot)) == size
     copy = pickle.loads(pickle.dumps(fewshot))
     for t in SPECIALIZED_DEFAULT_TYPES:
         assert build_prompt(template, copy, dug, t) == _reference_prompt(template, copy, dug, t)
@@ -627,10 +631,11 @@ _NO_JSON = object()
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=_NO_JSON, text="err"):
+    def __init__(self, status_code=200, payload=_NO_JSON, text="err", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is _NO_JSON:
@@ -643,8 +648,10 @@ class FakeSession:
         self.responses = list(responses)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
+        self.calls.append(
+            {"url": url, "json": json, "headers": headers, "timeout": timeout, "allow_redirects": allow_redirects}
+        )
         result = self.responses.pop(0)
         if isinstance(result, Exception):
             raise result
@@ -661,6 +668,7 @@ def test_http_client_prompt_mode(monkeypatch):
     call = session.calls[0]
     assert call["json"] == {"model": "m1", "temperature": 0.0, "max_tokens": 64, "prompt": "p"}
     assert call["headers"]["Authorization"] == "Bearer sekret"
+    assert call["allow_redirects"] is False
 
 
 def test_http_client_messages_mode():
@@ -722,6 +730,27 @@ def test_http_client_client_error_fails_fast():
         client.complete(CompletionRequest("p"))
     assert err.value.status == 404 and err.value.attempt == 1
     assert not session.responses  # one call only
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_client_redirect_fails_fast_naming_its_location(status):
+    moved = FakeResponse(status, payload={"text": "4 times day"}, headers={"Location": "http://svc/elsewhere"})
+    session = FakeSession([moved])
+    client = HttpCompletionClient("http://svc", model="m", api_key="k", session=session)
+    with pytest.raises(ServiceError, match=f"^redirect {status} to 'http://svc/elsewhere' not followed$") as err:
+        client.complete(CompletionRequest("p"))
+    assert err.value.status == status and err.value.attempt == 1
+    assert [call["allow_redirects"] for call in session.calls] == [False]  # one call, never followed
+
+
+def test_extract_marks_a_redirected_call_failed_never_the_answer_behind_it(pool):
+    # Followed, a 302 turns the POST into a GET, and the GET endpoint's JSON
+    # would be recorded as the model's answer to the prompt.
+    moved = FakeResponse(302, payload={"text": "4 times day"}, headers={"Location": "http://svc/get"})
+    client = HttpCompletionClient("http://svc", model="m", api_key="k", session=FakeSession([moved]))
+    record = extract(make_dug("q", "Take four times a day.", []), PromptStrategy.simple(), _fewshot(pool), client)
+    assert record.error == "redirect 302 to 'http://svc/get' not followed"
+    assert record.raw_outputs == record.candidates == record.predictions == record.mtcs == ()
 
 
 # -------------------------------------------------------------- extraction
@@ -1232,6 +1261,125 @@ def test_the_query_check_at_the_prefix_boundary():
     assert prompt.count(straddling.text) == 1
     with pytest.raises(PromptBuildError):  # ends the prefix, then the prompt
         build_prompt(_BARE, fewshot, make_dug("q", "NONE\n\n", []))
+
+
+# ------------------------------------------- the plan against build_prompt
+
+
+class _Table:
+    """Answers by the hex fingerprint of the prompt; a prompt it has no answer for fails."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def complete(self, request):
+        key = request.fingerprint.hex()
+        if key not in self.table:
+            raise ServiceError(f"no answer for {key}")
+        return CompletionResponse(self.table[key])
+
+
+def _reference_record(dug, strategy, fewshot, table) -> ExtractionRecord:
+    """The record of ``dug`` from ``build_prompt`` and ``prompt_fingerprint``, one probe at a time."""
+    template = default_template(strategy.kind)
+    judged, error = [], None
+    for probe in strategy.types or (None,):
+        try:
+            key = prompt_fingerprint(build_prompt(template, fewshot, dug, probe))
+        except (PromptBuildError, UnicodeEncodeError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            break
+        if key not in table:
+            error = f"no answer for {key}"
+            break
+        judged.append(extract_module._judge.__wrapped__(table[key], probe))
+    return ExtractionRecord(
+        dug.id,
+        strategy.kind,
+        raw_outputs=tuple(call for call, *_ in judged),
+        candidates=tuple(c for _, candidates, *_ in judged for c in candidates),
+        predictions=tuple(p for *_, predictions, _, _ in judged for p in predictions),
+        mtcs=grammar.dedup_mtcs([m for *_, parsed, _ in judged for m in parsed]),
+        off_type=tuple(o for *_, off_type in judged for o in off_type),
+        error=error,
+    )
+
+
+_plan_strategies = st.one_of(
+    st.just(PromptStrategy.simple()),
+    st.just(PromptStrategy.guided()),
+    st.lists(st.integers(1, 7), min_size=1, max_size=7, unique=True).map(PromptStrategy.specialized),
+)
+#: Non-empty texts: any, lone surrogates and all, or shorter than the index's key.
+_plain_texts = st.one_of(
+    st.sampled_from(_QUERY_TEXTS),
+    st.text(min_size=1, max_size=20),
+    st.text(st.characters(categories=["Cs", "Ll", "Zs"]), min_size=1, max_size=12),
+    st.text(min_size=1, max_size=_WIDTH - 1),
+).filter(str.strip)
+
+
+def _quoting(texts):
+    """A text that quotes one of ``texts`` the way a prompt's query block does."""
+    return st.builds(
+        lambda before, text, after: f"{before}Statement: {text}{after}",
+        st.sampled_from(("", "See: ", "\n")), st.sampled_from(texts),
+        st.sampled_from(("", "\nConstraints:", "\nConstraints: NONE", " and more")),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(strategy=_plan_strategies, data=st.data())
+def test_extract_at_any_parallelism_gives_the_records_of_build_prompt_and_prompt_fingerprint(strategy, data):
+    base = data.draw(st.lists(_plain_texts, min_size=1, max_size=3, unique=True))
+    examples = data.draw(st.lists(st.one_of(_plain_texts, _quoting(base)), min_size=1, max_size=3, unique=True))
+    texts = data.draw(st.lists(st.one_of(st.sampled_from(base), _quoting(examples)), min_size=1, max_size=4))
+    labels = data.draw(st.sampled_from(([], ["2 times day"], ["2 times day", "before sleep", "6 hour apart"])))
+
+    def fewshot_set():  # equal sets, each with nothing kept yet
+        return fewshot_from_dugs([make_dug(f"f{i}", text, labels) for i, text in enumerate(examples)])
+
+    twin = fewshot_set()
+    dugs = exclude_fewshot([make_dug(f"q{i}", text, []) for i, text in enumerate(texts)], twin)
+    table = {}
+    for dug in dugs:
+        for probe in strategy.types or (None,):
+            try:
+                key = prompt_fingerprint(build_prompt(default_template(strategy.kind), twin, dug, probe))
+            except (PromptBuildError, UnicodeEncodeError):
+                continue
+            if data.draw(st.integers(0, 7)):  # else the call fails
+                table[key] = data.draw(_answers)
+    expected = [_reference_record(dug, strategy, twin, table) for dug in dugs]
+
+    fewshot = fewshot_set()
+    for probe in data.draw(st.lists(st.sampled_from(strategy.types or (None,)), unique=True)):
+        build_prompt(default_template(strategy.kind), fewshot, make_dug("w", "Warm the prefix.", []), probe)
+    parallelism = data.draw(st.integers(1, 3))
+    for _ in ("cold", "warm"):
+        records = list(iter_extract_corpus(dugs, strategy, fewshot, _Table(table), parallelism=parallelism))
+        assert records == expected
+        assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
+
+
+def test_a_plan_is_kept_once_per_strategy_and_checked_like_build_prompt(pool):
+    fewshot = _fewshot(pool)
+    dug = make_dug("q", "Take it twice daily.", [])
+    strategy = PromptStrategy.specialized((4, 2))
+    first = extract(dug, strategy, fewshot, _Echo())
+    plan = vars(fewshot)["_prefixes"][("specialized", (4, 2))]
+    template = default_template("specialized")
+    assert plan[0] is template and [probe for probe, _ in plan[1]] == [4, 2]
+    assert all(entry is prompts._prefix(template, fewshot, probe) for probe, entry in plan[1])
+    assert extract(dug, strategy, fewshot, _Echo()) == first
+    assert vars(fewshot)["_prefixes"][("specialized", (4, 2))] is plan
+    # Arguments of another type fail as build_prompt fails them, kept plan or not.
+    stand_in = SimpleNamespace(id="t", text="Take it twice daily.")
+    for _ in range(2):
+        with pytest.raises(TypeError, match="^dug must be a Dug, got SimpleNamespace$"):
+            extract(stand_in, strategy, fewshot, _Echo())
+        with pytest.raises(TypeError, match="^fewshot must be a FewShotSet, got list$"):
+            extract(dug, strategy, list(fewshot.pairs), _Echo())
 
 
 class _Recording:
